@@ -54,11 +54,15 @@ One-pass re-rank kernel (``FarmerConfig.rerank_kernel``)
   reuses the stored degree outright (both Function 1 and Function 2
   skipped), a version-pair match alone reuses the stored similarity
   (Function 1 skipped, only the frequency blend recomputed);
-* remaining successors are answered against the versioned cache exactly
-  as the public batch kernel :meth:`semantic_distances` does — src
-  vector resolved once, one lookup/compute/store per dst — with the
-  loop inlined into the re-rank (property-tested against the public
-  method);
+* the remaining successors go to the versioned cache as one row
+  consult (:meth:`~repro.core.simcache.SimilarityCache.consult_row`, the
+  same call :meth:`semantic_distances` makes): the cache lock is taken
+  once per re-rank, and IPA(bag) is computed inline on each miss. The
+  values, cache counters and LRU order equal a per-pair
+  :meth:`semantic_distance` schedule; a hypothesis property test
+  (``tests/core/test_rerank_kernel.py::TestRowConsultEquivalence``)
+  pins this across cache capacities, shared/private caches and every
+  path method and mode;
 * the list is materialised by a single
   :meth:`~repro.graph.correlator_list.CorrelatorList.rebuild` (sort +
   threshold/capacity cut, O(d log d)) instead of d binary insertions.
@@ -99,6 +103,18 @@ __all__ = ["CoMiner", "RerankStats"]
 # overflow it is cleared wholesale (values are pure functions of the
 # keys, so eviction policy only affects speed).
 _PATH_MEMO_CAP = 200_000
+
+
+def _ipa_prefix(a, b) -> float:
+    return ipa_similarity(a, b, "prefix")
+
+
+def _row_kernel(config: FarmerConfig):
+    """The Function-1 kernel a cache row consult runs: ``None`` (IPA in
+    bag mode, which the consult inlines) or a ``(va, vb)`` function."""
+    if config.path_method == "dpa":
+        return dpa_similarity
+    return None if config.path_mode == "bag" else _ipa_prefix
 
 
 class _RankRecord:
@@ -244,36 +260,26 @@ class CoMiner:
     def semantic_distances(self, src: int, dsts) -> list[float]:
         """Batch Function 1: ``sim(src, dst)`` for every dst, in order.
 
-        ``src``'s vector and version are resolved once and the whole
-        set is answered against the versioned cache in one pass (each
-        miss computed and stored). :meth:`_reevaluate_bulk` inlines this
-        same consult loop on the hot path; the equivalence tests pin the
-        two against each other.
+        The dsts with a vector go to the cache in one
+        :meth:`~repro.core.simcache.SimilarityCache.consult_row` — the
+        same row consult :meth:`_reevaluate_bulk` issues — so the values,
+        cache counters and LRU order equal per-pair
+        :meth:`semantic_distance` calls.
         """
         vectors, versions = self.constructor.vectors.maps()
         va = vectors.get(src)
         if va is None:
             return [0.0 for _ in dsts]
-        ver_a = versions[src]
-        cache = self.sim_cache
-        lookup, put = cache.lookup, cache.store
-        ipa = self.config.path_method == "ipa"
-        mode = self.config.path_mode
-        out: list[float] = []
-        for dst in dsts:
-            vb = vectors.get(dst)
-            if vb is None:
-                out.append(0.0)
-                continue
-            ver_b = versions[dst]
-            value = lookup(src, dst, ver_a, ver_b)
-            if value is None:
-                value = (
-                    ipa_similarity(va, vb, mode) if ipa else dpa_similarity(va, vb)
-                )
-                put(src, dst, ver_a, ver_b, value)
-            out.append(value)
-        return out
+        vbs = [vectors.get(dst) for dst in dsts]
+        row = [
+            (dst, versions[dst], vb) for dst, vb in zip(dsts, vbs) if vb is not None
+        ]
+        computed = iter(
+            self.sim_cache.consult_row(
+                src, versions[src], va, row, _row_kernel(self.config)
+            )
+        )
+        return [0.0 if vb is None else next(computed) for vb in vbs]
 
     def correlation_degree(self, src: int, dst: int) -> float:
         """Function 2: ``R = sim·p + F·(1−p)``."""
@@ -315,10 +321,11 @@ class CoMiner:
 
     def _reevaluate_bulk(self, src: int) -> CorrelatorList:
         """One-pass kernel: stamps skip unchanged successors, the
-        remaining similarities are answered exactly as
-        :meth:`semantic_distances` would (src vector/version resolved
-        once, cache consulted per dst — inlined to keep the loop flat),
-        and the list is materialised by a single sort/cut rebuild.
+        remaining similarities come from one cache row consult (the
+        call :meth:`semantic_distances` makes; counter- and
+        LRU-order-identical to per-pair :meth:`semantic_distance`, see
+        ``TestRowConsultEquivalence``), and the list is materialised by
+        a single sort/cut rebuild.
 
         Stamps are recorded from a file's first *re*-rank on: a one-shot
         batch ranks every file exactly once, and allocating stamps it
@@ -365,10 +372,7 @@ class CoMiner:
         vectors, versions = store.maps()
         va = vectors.get(src)
         ver_a = versions[src] if va is not None else 0
-        cache = self.sim_cache
-        lookup, put = cache.lookup, cache.store
-        ipa = config.path_method == "ipa"
-        mode = config.path_mode
+        want_f1 = use_sim and va is not None
         stamps = self._stamps.get(src) if self._incremental else None
         record_stamps = self._incremental and (
             stamps is not None or src in self._ranked_tick
@@ -376,12 +380,23 @@ class CoMiner:
         new_stamps: dict[int, tuple] = {}
         candidates: list[tuple[int, float]] = []
         skipped = 0
+        # every stamp of a list carries the source version it was
+        # ranked at, so a moved source vector invalidates them all
+        live = (
+            stamps
+            if stamps is not None and next(iter(stamps.values()))[0] == ver_a
+            else None
+        )
+        # stamp pass: settle what the stamps can; ``sim is None`` marks
+        # the successors whose Function 1 goes to the cache row consult
+        pending: list[tuple] = []
+        row: list[tuple] = []
         for dst, n_xy in zip(succ_fids, succ_weights):
             ver_b = versions.get(dst, 0)
             sim = None
-            if stamps is not None:
-                st = stamps.get(dst)
-                if st is not None and st[0] == ver_a and st[1] == ver_b:
+            if live is not None:
+                st = live.get(dst)
+                if st is not None and st[1] == ver_b:
                     if st[2] == n_xy and st[3] == n_x:
                         # every input unchanged since the last rank:
                         # reuse the degree, skip Functions 1 and 2
@@ -391,21 +406,19 @@ class CoMiner:
                         continue
                     sim = st[4]  # vectors unchanged: Function 1 skipped
             if sim is None:
-                if not use_sim or va is None:
+                vb = vectors.get(dst) if want_f1 else None
+                if vb is None:
                     sim = 0.0
                 else:
-                    vb = vectors.get(dst)
-                    if vb is None:
-                        sim = 0.0
-                    else:
-                        sim = lookup(src, dst, ver_a, ver_b)
-                        if sim is None:
-                            sim = (
-                                ipa_similarity(va, vb, mode)
-                                if ipa
-                                else dpa_similarity(va, vb)
-                            )
-                            put(src, dst, ver_a, ver_b, sim)
+                    row.append((dst, ver_b, vb))
+            pending.append((dst, n_xy, ver_b, sim))
+        if row:
+            computed = iter(
+                self.sim_cache.consult_row(src, ver_a, va, row, _row_kernel(config))
+            )
+        for dst, n_xy, ver_b, sim in pending:
+            if sim is None:
+                sim = next(computed)
             if use_freq and n_x:
                 freq = n_xy / n_x
                 if freq > 1.0:

@@ -15,6 +15,13 @@ hits/misses/stale/evictions so benchmarks can report the hit rate.
 A capacity of 0 disables caching entirely (every lookup is a miss and
 nothing is stored) — useful as the eager baseline in benchmarks.
 
+:meth:`SimilarityCache.consult_row` is the batch form the re-rank hot
+path uses: one source against a row of destinations in a single pass,
+with Function 1 computed inline on each miss. It leaves the values,
+counters and LRU order exactly as the equivalent sequence of
+:meth:`~SimilarityCache.lookup`/:meth:`~SimilarityCache.store` calls
+would (``tests/core/test_rerank_kernel.py::TestRowConsultEquivalence``).
+
 :class:`SharedSimilarityCache` is the multi-shard variant: one instance
 serves every shard of a :class:`~repro.service.ShardedFarmer` behind a
 lock. Version keys make the sharing safe — the service keeps a single
@@ -29,6 +36,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.vsm.vector import bag_intersection
 
 __all__ = ["SimilarityCache", "SharedSimilarityCache", "SimCacheStats"]
 
@@ -117,6 +125,86 @@ class SimilarityCache:
             entries.pop(next(iter(entries)))
             self._evictions += 1
 
+    def consult_row(self, a: int, ver_a: int, va, row, compute=None) -> list[float]:
+        """``sim(a, b)`` for every ``(b, ver_b, vb)`` of ``row``, in order.
+
+        Each pair is probed at exactly these versions; a hit is served
+        and LRU-refreshed, a miss is computed and stored. Values,
+        counters and LRU order end up exactly as after a
+        :meth:`lookup` — then, on a miss, :meth:`store` — per pair.
+
+        ``compute(va, vb)`` is the Function-1 kernel; ``None`` means
+        IPA in bag mode, evaluated inline with the source side resolved
+        once (the same arithmetic as
+        :func:`~repro.vsm.similarity.ipa_similarity`).
+        """
+        entries = self._entries
+        capacity = self.capacity
+        inline_ipa = compute is None
+        if inline_ipa and row:
+            na = va.n_ipa
+            sa = va._scalar_set
+            if sa is None:
+                sa = va.scalar_set
+            pa = va.path_ids
+            spa = va.sorted_path if pa else None
+            lpa = len(pa) if pa else 0
+        out: list[float] = []
+        append = out.append
+        hits = misses = stale = evictions = 0
+        for b, ver_b, vb in row:
+            if a > b:
+                key = (b, a)
+                lo, hi = ver_b, ver_a
+            else:
+                key = (a, b)
+                lo, hi = ver_a, ver_b
+            entry = entries.get(key)
+            if entry is not None:
+                if entry[0] == lo and entry[1] == hi:
+                    hits += 1
+                    del entries[key]  # LRU refresh: move to the young end
+                    entries[key] = entry
+                    append(entry[2])
+                    continue
+                stale += 1
+            misses += 1
+            if inline_ipa:
+                nb = vb.n_ipa
+                denom = na if na >= nb else nb
+                if denom == 0:
+                    value = 0.0
+                else:
+                    sb = vb._scalar_set
+                    if sb is None:
+                        sb = vb.scalar_set
+                    shared = float(len(sa & sb))
+                    pb = vb.path_ids
+                    if pa and pb:
+                        lpb = len(pb)
+                        shared += bag_intersection(spa, vb.sorted_path) / (
+                            lpa if lpa >= lpb else lpb
+                        )
+                    value = shared / denom
+            else:
+                value = compute(va, vb)
+            append(value)
+            if not capacity:
+                continue
+            if entry is not None:
+                del entries[key]  # stale entry: reinsert at the young end
+                entries[key] = (lo, hi, value)
+                continue
+            entries[key] = (lo, hi, value)
+            if len(entries) > capacity:
+                entries.pop(next(iter(entries)))
+                evictions += 1
+        self._hits += hits
+        self._misses += misses
+        self._stale += stale
+        self._evictions += evictions
+        return out
+
     def stats(self) -> SimCacheStats:
         """Snapshot of the counters."""
         return SimCacheStats(
@@ -145,7 +233,8 @@ class SharedSimilarityCache(SimilarityCache):
 
     Every public operation takes an internal lock, so concurrent shards
     (threads today; the seam for multi-process shards tomorrow) can
-    lookup/store without corrupting the LRU order or the counters. The
+    lookup/store without corrupting the LRU order or the counters. A
+    :meth:`consult_row` holds the lock once for its whole row. The
     single-shard hot path stays on the unlocked base class.
     """
 
@@ -162,6 +251,10 @@ class SharedSimilarityCache(SimilarityCache):
     def store(self, a: int, b: int, ver_a: int, ver_b: int, value: float) -> None:
         with self._lock:
             super().store(a, b, ver_a, ver_b, value)
+
+    def consult_row(self, a: int, ver_a: int, va, row, compute=None) -> list[float]:
+        with self._lock:
+            return super().consult_row(a, ver_a, va, row, compute)
 
     def stats(self) -> SimCacheStats:
         with self._lock:

@@ -12,10 +12,14 @@ re-ranks, fewer Function-1 evaluation requests).
 import importlib.util
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
+from repro.core.simcache import SharedSimilarityCache, SimilarityCache
 from repro.traces.synthetic import generate_trace
+from tests.conftest import make_record
 
 KERNELS = {
     "bulk+stamps": dict(rerank_kernel="bulk", incremental_rerank=True),
@@ -156,7 +160,8 @@ class TestOpCounts:
 
     def test_semantic_distances_batch_kernel(self):
         """The batch kernel answers a whole successor set in one pass,
-        agreeing with the single-pair path and warming the cache."""
+        agreeing with the single-pair path and warming the cache (the
+        counters and LRU order are pinned by TestRowConsultEquivalence)."""
         trace = generate_trace("hp", 1_000, seed=4)
         farmer = Farmer()
         for record in trace:
@@ -203,3 +208,114 @@ class TestStampCorrectness:
 
         with pytest.raises(ConfigError):
             FarmerConfig(rerank_kernel="quantum")
+
+
+class _PerPairConsult:
+    """Serves every row consult as per-pair ``semantic_distance`` calls
+    on the owning miner: one ``lookup`` (then, on a miss, the public
+    similarity function and one ``store``) per destination."""
+
+    def consult_row(self, a, ver_a, va, row, compute=None):
+        return [self.miner.semantic_distance(a, b) for b, _ver_b, _vb in row]
+
+
+class _PerPairCache(_PerPairConsult, SimilarityCache):
+    pass
+
+
+class _PerPairSharedCache(_PerPairConsult, SharedSimilarityCache):
+    pass
+
+
+_PATHS = (None, "/a/b/c", "/a/b/d", "/a/a/b", "/x/a/b/c", "/x/y")
+_records = st.tuples(
+    st.integers(0, 9),  # fid
+    st.integers(0, 2),  # uid
+    st.integers(0, 2),  # pid
+    st.sampled_from(_PATHS),
+)
+_steps = st.lists(
+    st.one_of(
+        # observe, then query the observed file (the FPA schedule)
+        st.tuples(st.just("observe"), _records),
+        # batch-mine a chunk (tick-driven flush), then query some file
+        st.tuples(st.just("mine"), st.lists(_records, min_size=1, max_size=6)),
+        # a query of some file
+        st.tuples(st.just("ask"), st.integers(0, 9)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestRowConsultEquivalence:
+    """The bulk kernel's batched cache consult is indistinguishable from
+    per-pair ``semantic_distance`` consults: same lists and degrees, the
+    same ``SimCacheStats`` and the same LRU key order — across cache
+    capacities (3 forces evictions mid-row), shared and private caches,
+    and every path method and mode (IPA bag is the inlined arithmetic,
+    the rest call the public similarity functions)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        steps=_steps,
+        capacity=st.sampled_from([0, 3, None]),
+        shared=st.booleans(),
+        path_method=st.sampled_from(["ipa", "dpa"]),
+        path_mode=st.sampled_from(["bag", "prefix"]),
+        # "first" freezes vectors, so the stamps reuse similarities
+        sv_policy=st.sampled_from(["merge", "first"]),
+    )
+    def test_row_consult_matches_per_pair_schedule(
+        self, steps, capacity, shared, path_method, path_mode, sv_policy
+    ):
+        knobs = dict(
+            max_strength=0.0,
+            correlator_capacity=4,
+            path_method=path_method,
+            path_mode=path_mode,
+            sv_policy=sv_policy,
+        )
+        if capacity is not None:
+            knobs["sim_cache_capacity"] = capacity
+        config = FarmerConfig(**knobs)
+        cap = config.sim_cache_capacity
+        under_test = Farmer(
+            config, sim_cache=SharedSimilarityCache(cap) if shared else None
+        )
+        ref_cache = (_PerPairSharedCache if shared else _PerPairCache)(cap)
+        ref = Farmer(config, sim_cache=ref_cache)
+        ref_cache.miner = ref.miner
+        cache = under_test.miner.sim_cache
+
+        def assert_same_cache():
+            assert cache.stats() == ref_cache.stats()
+            assert list(cache._entries) == list(ref_cache._entries)
+
+        ts = 0
+        for kind, arg in steps:
+            if kind == "ask":
+                fid = arg
+            else:
+                records = []
+                for fid, uid, pid, path in [arg] if kind == "observe" else arg:
+                    ts += 1
+                    records.append(
+                        make_record(fid, ts=ts, uid=uid, pid=pid, path=path)
+                    )
+                for farmer in (under_test, ref):
+                    if kind == "observe":
+                        farmer.observe(records[0])
+                    else:
+                        farmer.mine(records)
+            assert under_test.correlators(fid) == ref.correlators(fid)
+            assert_same_cache()
+        for fid in range(10):
+            assert under_test.correlators(fid) == ref.correlators(fid)
+        fids = list(range(11))  # fid 10 has no vector
+        for src in fids:
+            assert under_test.miner.semantic_distances(
+                src, fids
+            ) == ref.miner.semantic_distances(src, fids)
+        assert_same_cache()
+        assert under_test.rerank_stats() == ref.rerank_stats()

@@ -1,10 +1,15 @@
 """Tests for the versioned similarity cache (Stage 3 hot-path support)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.config import FarmerConfig
-from repro.core.simcache import SimilarityCache
+from repro.core.simcache import SharedSimilarityCache, SimilarityCache
 from repro.errors import ConfigError
+from repro.vsm.similarity import ipa_similarity
+from repro.vsm.vector import SemanticVector
 
 
 class TestLookupStore:
@@ -102,3 +107,55 @@ class TestStats:
         for i in range(10):
             cache.store(0, i + 1, 1, 1, 0.5)
         assert cache.approx_bytes() > empty
+
+
+class TestSharedRowConsult:
+    def test_shared_cache_concurrent_row_consults(self):
+        """Four threads consulting overlapping rows of one shared cache:
+        no exception, every probe counted once, size within capacity
+        and every value exact."""
+        vectors = {
+            i: SemanticVector((i % 5, 20 + i % 3), (1, i % 4, 7)) for i in range(24)
+        }
+        cache = SharedSimilarityCache(capacity=40)
+        n_threads, rounds = 4, 1000
+        start = threading.Barrier(n_threads)
+        probes = [0] * n_threads
+        errors: list[Exception] = []
+
+        def worker(t: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for r in range(rounds):
+                    a = (t + r) % 24
+                    # versions cycle so entries go stale under other threads
+                    row = [
+                        (b, 1 + (r + b) % 3, vectors[b])
+                        for b in range(24)
+                        if b != a and (b + r) % 3 != t % 3
+                    ]
+                    values = cache.consult_row(a, 1 + r % 2, vectors[a], row)
+                    probes[t] += len(row)
+                    for (_b, _ver_b, vb), value in zip(row, values):
+                        assert value == ipa_similarity(vectors[a], vb)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = cache.stats()
+        assert stats.hits + stats.misses == sum(probes)
+        assert stats.hits > 0 and stats.stale > 0
+        assert len(cache) <= cache.capacity
