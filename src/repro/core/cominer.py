@@ -30,10 +30,22 @@ mining to be O(small). Two mechanisms make it so:
   :meth:`mark_dirty` and the full re-rank + stale-edge sweep is deferred
   to the first *query* of the list (:meth:`query` / :meth:`flush_all`).
   Reinforced edges (``pred → x`` for predecessors in the window) only
-  move one entry, so they are refreshed eagerly via
-  :meth:`reevaluate_edge` — exactly the schedule the eager miner runs,
-  which keeps lazy and eager query results identical when queries follow
-  the triggering request.
+  move one entry, and they are not refreshed on the request either:
+  :meth:`defer_edge` drops the refresh when ``pred``'s list is dirty
+  (it is rebuilt from current state before any query can see it) and
+  otherwise appends the refresh's inputs — both semantic vectors, their
+  versions and ``F(pred, x)`` — to a per-source edge log. The log is
+  replayed in order on the next read of a list that was not rebuilt
+  first (:meth:`query`, :meth:`flush_all`, :meth:`list_of`,
+  :meth:`lists`, :meth:`extract_state`), with the arithmetic and cache
+  consult of :meth:`correlation_degree` at the captured versions, so
+  every list a reader sees is bit-for-bit the one the eager refresh
+  (:meth:`reevaluate_edge`, still the ``lazy_reevaluation=False``
+  schedule) would have built; any rebuild or replacement of the list
+  discards its log. Raw views of a *dirty* list
+  (:meth:`list_of`/:meth:`lists` before a flush) therefore no longer
+  carry the refreshes dropped while it was dirty. Pinned by
+  ``tests/core/test_edge_log.py``.
 
 * **Change ticks** — the graph stamps every node with a monotonic
   :meth:`~repro.graph.correlation_graph.CorrelationGraph.change_tick`;
@@ -174,8 +186,9 @@ class RerankStats:
         entries_skipped_unchanged: entries whose stamp matched every
             input — degree reused, Function 1 and Function 2 skipped.
         insort_ops: binary insertions into Correlator Lists (the bulk
-            kernel performs none during a re-rank; the eager single-edge
-            refresh path still insorts).
+            kernel performs none during a re-rank; the single-edge
+            refresh still insorts — eagerly, or when an edge log is
+            replayed; refreshes still pending in a log are not counted).
     """
 
     n_reevaluations: int
@@ -208,6 +221,9 @@ class CoMiner:
         # inputs and outputs of the last rank, pruned to the current
         # successor set on every bulk re-rank
         self._stamps: dict[int, dict[int, tuple]] = {}
+        # src -> pending edge refreshes (dst, va, vb, ver_a, ver_b, freq),
+        # in arrival order (see defer_edge)
+        self._edge_log: dict[int, list[tuple]] = {}
         self._bulk = config.rerank_kernel == "bulk"
         self._array = config.rerank_kernel == "array"
         if self._array and _np is None:
@@ -243,8 +259,11 @@ class CoMiner:
         vb = vectors.get(dst)
         if vb is None:
             return 0.0
-        ver_a = versions[src]
-        ver_b = versions[dst]
+        return self._sim_at(src, dst, va, vb, versions[src], versions[dst])
+
+    def _sim_at(self, src, dst, va, vb, ver_a, ver_b) -> float:
+        """Function 1 of the given vectors, consulting the cache at the
+        given versions (the tail of :meth:`semantic_distance`)."""
         cached = self.sim_cache.lookup(src, dst, ver_a, ver_b)
         if cached is not None:
             return cached
@@ -360,7 +379,12 @@ class CoMiner:
                 self._entries_scanned += d
                 self._entries_skipped += d
                 self._dirty.discard(src)
+                # not a rebuild, so a pending log still applies (one can
+                # only be pending here if an adopted node's tick happens
+                # to equal the one this list was ranked at)
+                self._settle(src)
                 return self._lists[src]
+        self._edge_log.pop(src, None)
         lst = self._list_for(src)
         self._n_reevaluations += 1
         self._entries_scanned += d
@@ -447,6 +471,7 @@ class CoMiner:
         bit-for-bit identical to the bulk kernel — both rank the current
         successor set from scratch — which the property tests pin."""
         successors = self.constructor.graph.successors(src)
+        self._edge_log.pop(src, None)
         lst = self._list_for(src)
         self._n_reevaluations += 1
         self._entries_scanned += len(successors)
@@ -507,6 +532,7 @@ class CoMiner:
         ranked = self._ranked_tick
         lists = self._lists
         dirty_discard = self._dirty.discard
+        log_discard = self._edge_log.pop
         vget = vectors.get
         pmemo = self._path_memo
         if len(pmemo) > _PATH_MEMO_CAP:
@@ -531,6 +557,7 @@ class CoMiner:
             if d == 0:
                 lst = self._list_for(src)
                 lst.rebuild(())
+                log_discard(src, None)
                 n_re += 1
                 dirty_discard(src)
                 ranked[src] = node.change_tick if node is not None else 0
@@ -712,6 +739,7 @@ class CoMiner:
                     lst.rebuild_arrays(fid_view[pos:end], degrees[pos:end])
                 else:
                     lst.rebuild(zip(node.succ_fids, degrees[pos:end].tolist()))
+                log_discard(src, None)
                 if record_it:
                     records[src] = _RankRecord(
                         node,
@@ -767,8 +795,61 @@ class CoMiner:
         return hits / denom
 
     def reevaluate_edge(self, src: int, dst: int) -> None:
-        """Refresh a single (src → dst) entry after an edge reinforcement."""
+        """Refresh a single (src → dst) entry after an edge reinforcement
+        (the eager schedule; the lazy one calls :meth:`defer_edge`)."""
         self._list_for(src).update(dst, self.correlation_degree(src, dst))
+
+    def defer_edge(self, src: int, dst: int) -> None:
+        """Log the refresh of a just-reinforced (src → dst) entry instead
+        of running it.
+
+        Nothing is recorded for a dirty ``src``: its list is rebuilt
+        from current state before any query can see it. Otherwise the
+        refresh's inputs as of now — both semantic vectors (immutable),
+        their versions and ``F(src, dst)`` — join ``src``'s edge log,
+        which :meth:`_settle` replays into exactly what
+        :meth:`reevaluate_edge` would have inserted here.
+        """
+        if src in self._dirty:
+            return
+        p = self.config.weight_p
+        if p > 0.0:
+            vectors, versions = self.constructor.vectors.maps()
+            va = vectors.get(src)
+            vb = vectors.get(dst)
+            ver_a = versions.get(src, 0)
+            ver_b = versions.get(dst, 0)
+        else:
+            va = vb = None
+            ver_a = ver_b = 0
+        freq = self.constructor.graph.frequency(src, dst) if p < 1.0 else 0.0
+        entry = (dst, va, vb, ver_a, ver_b, freq)
+        log = self._edge_log.get(src)
+        if log is None:
+            self._edge_log[src] = [entry]
+        else:
+            log.append(entry)
+
+    def _settle(self, src: int) -> None:
+        """Replay ``src``'s pending edge refreshes, in arrival order, with
+        :meth:`correlation_degree`'s arithmetic and cache consult at the
+        captured versions."""
+        log = self._edge_log.pop(src, None)
+        if log is None:
+            return
+        lst = self._list_for(src)
+        p = self.config.weight_p
+        q = 1.0 - p
+        for dst, va, vb, ver_a, ver_b, freq in log:
+            if va is None or vb is None:
+                sim = 0.0
+            else:
+                sim = self._sim_at(src, dst, va, vb, ver_a, ver_b)
+            lst.update(dst, sim * p + freq * q)
+
+    def _settle_all(self) -> None:
+        for src in list(self._edge_log):
+            self._settle(src)
 
     # ------------------------------------------------------------------
     # dirty/lazy protocol
@@ -817,16 +898,20 @@ class CoMiner:
         """
         if fid in self._dirty:
             return self.reevaluate(fid)
+        if fid in self._edge_log:
+            self._settle(fid)
         return self._lists.get(fid)
 
     def flush_all(self) -> None:
-        """Re-rank every dirty list (aggregate queries call this first)."""
+        """Re-rank every dirty list and replay every pending edge log
+        (aggregate queries call this first)."""
         if self._array:
             while self._dirty:
                 self._flush_array(sorted(self._dirty))
-            return
-        while self._dirty:
-            self.reevaluate(next(iter(self._dirty)))
+        else:
+            while self._dirty:
+                self.reevaluate(next(iter(self._dirty)))
+        self._settle_all()
 
     def flush_nodes(self, fids) -> None:
         """Batch-mode flush: re-rank exactly the given nodes, skipping
@@ -904,6 +989,7 @@ class CoMiner:
         graph = self.constructor.graph
         for fid, lst in lists.items():
             self._lists[fid] = lst
+            self._edge_log.pop(fid, None)
             self._ranked_tick[fid] = graph.change_tick(fid)
             self._ranked_epoch.pop(fid, None)
         for fid in fids:
@@ -917,11 +1003,13 @@ class CoMiner:
         """Detach everything this miner holds for ``fid`` and return its
         Correlator List (``None`` if the file never grew one).
 
-        Used when a shard rebalance migrates the fid elsewhere: list,
-        re-rank stamps, ranked tick and dirty flag all leave with it —
-        call :meth:`flush_nodes` (or :meth:`flush_nodes_report`) first
-        if the shipped list must be freshly ranked.
+        Used when a shard rebalance migrates the fid elsewhere: list
+        (with its edge log replayed), re-rank stamps, ranked tick and
+        dirty flag all leave with it — call :meth:`flush_nodes` (or
+        :meth:`flush_nodes_report`) first if the shipped list must be
+        freshly ranked.
         """
+        self._settle(fid)
         self._dirty.discard(fid)
         self._ranked_tick.pop(fid, None)
         self._stamps.pop(fid, None)
@@ -933,18 +1021,37 @@ class CoMiner:
         """Install a list migrated from another shard as ``fid``'s
         authoritative state: any halo list/stamps/dirty flag this miner
         accumulated for the fid are discarded (the migrated list came
-        from the owner), and the ranked tick is pinned to ``tick`` (the
-        migrated graph node's change tick) so the next flush re-ranks
-        only if the node actually changes again. Stamps are dropped
+        from the owner; a pending edge log goes with them), and the
+        ranked tick is pinned to ``tick`` (the migrated graph node's
+        change tick) so the next flush re-ranks only if the node
+        actually changes again. Stamps are dropped
         rather than shipped — they are validated against live inputs, so
         losing them costs a recomputation, never correctness.
         """
         self._lists[fid] = lst
+        self._edge_log.pop(fid, None)
         self._ranked_tick[fid] = tick
         self._stamps.pop(fid, None)
         self._rank_records.pop(fid, None)
         self._ranked_epoch.pop(fid, None)
         self._dirty.discard(fid)
+
+    def __getstate__(self):
+        # an empty edge log is left out of the pickle (every ingest-only
+        # service's case) and restored on load, so snapshots written
+        # without the field load too
+        state = self.__dict__
+        if not self._edge_log:
+            state = {k: v for k, v in state.items() if k != "_edge_log"}
+        return state
+
+    def __setstate__(self, state) -> None:
+        # setattr interns the names, as the default unpickling does (a
+        # later pickle then shares them with every other object's keys)
+        for name, value in state.items():
+            setattr(self, name, value)
+        if "_edge_log" not in state:
+            self._edge_log = {}
 
     # ------------------------------------------------------------------
     # op accounting
@@ -964,25 +1071,30 @@ class CoMiner:
     # ------------------------------------------------------------------
 
     def list_of(self, fid: int) -> CorrelatorList | None:
-        """The Correlator List of ``fid`` as-is (None if the file has none
-        yet; may be awaiting its deferred re-rank — use :meth:`query` for
-        the re-ranked view)."""
+        """The Correlator List of ``fid`` with its edge log replayed, not
+        re-ranked (None if the file has none yet; may be awaiting its
+        deferred re-rank — use :meth:`query` for the re-ranked view)."""
+        self._settle(fid)
         return self._lists.get(fid)
 
     def n_lists(self) -> int:
-        """Number of files owning a Correlator List."""
-        return len(self._lists)
+        """Number of files owning a Correlator List (a list a pending
+        edge log would create counts; nothing is replayed)."""
+        lists = self._lists
+        return len(lists) + sum(1 for src in self._edge_log if src not in lists)
 
     def lists(self) -> dict[int, CorrelatorList]:
-        """Live view of all lists (read-only use; call :meth:`flush_all`
-        first if re-ranked results are required)."""
+        """Live view of all lists, edge logs replayed (read-only use;
+        call :meth:`flush_all` first if re-ranked results are
+        required)."""
+        self._settle_all()
         return self._lists
 
     def approx_bytes(self) -> int:
         """Footprint of all Correlator Lists plus the similarity cache
         (only when owned — a shared cache is accounted once by its
-        owner), the dirty/ranked-tick bookkeeping and the re-rank
-        stamps."""
+        owner), the dirty/ranked-tick bookkeeping, the re-rank stamps
+        and the pending edge logs (counted, never replayed)."""
         return (
             64
             + sum(104 + lst.approx_bytes() for lst in self._lists.values())
@@ -991,6 +1103,7 @@ class CoMiner:
             + 56 * len(self._ranked_epoch)
             + 32 * len(self._dirty)
             + sum(88 + 144 * len(d) for d in self._stamps.values())
+            + sum(88 + 128 * len(log) for log in self._edge_log.values())
             + sum(
                 160 + 48 * len(r.n_xy)
                 for r in self._rank_records.values()

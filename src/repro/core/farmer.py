@@ -18,17 +18,20 @@ Lazy mining contract (``FarmerConfig.lazy_reevaluation``, default on)
 ---------------------------------------------------------------------
 
 ``observe`` does only the O(window) work a request strictly requires:
-it updates the graph and vectors, eagerly refreshes the entries for the
-just-reinforced predecessor edges, and *marks the requested file's
-Correlator List dirty* instead of re-running Algorithm 1. The full
-re-rank + stale-edge sweep happens on the first query of a dirty list
-(``correlators`` / ``predict`` / ``snapshot`` / ``sorter``), backed by a
-versioned similarity cache so Function 1 only reruns for pairs whose
-vectors actually changed. Query results therefore always reflect a full
-Algorithm-1 pass; when queries follow the triggering request (the FPA
-pattern) they are bit-identical to the eager schedule, and between a
-request and the next query of some *other* file the lazy path serves
-strictly fresher degrees than eager would.
+it updates the graph and vectors, hands each just-reinforced predecessor
+edge to :meth:`CoMiner.defer_edge`, and *marks the requested file's
+Correlator List dirty* instead of re-running Algorithm 1. A deferred
+edge refresh is dropped when the predecessor's list is dirty (a re-rank
+rebuilds it first) and otherwise logged with its inputs, then replayed
+exactly on the next read of that list — so no Function 1 runs on the
+request itself. The full re-rank + stale-edge sweep happens on the first
+query of a dirty list (``correlators`` / ``predict`` / ``snapshot`` /
+``sorter``), backed by a versioned similarity cache so Function 1 only
+reruns for pairs whose vectors actually changed. Query results therefore
+always reflect a full Algorithm-1 pass; when queries follow the
+triggering request (the FPA pattern) they are bit-identical to the eager
+schedule, and between a request and the next query of some *other* file
+the lazy path serves strictly fresher degrees than eager would.
 
 ``mine`` goes further: during the batch no list maintenance runs at all;
 one tick-driven flush at the end re-ranks exactly the files the batch
@@ -121,16 +124,21 @@ class Farmer:
         ):
             return
         fid, touched = self.constructor.observe(record)
-        # the freshly-reinforced incoming edges…
-        for pred in touched:
-            self.miner.reevaluate_edge(pred, fid)
+        miner = self.miner
         if self.config.lazy_reevaluation:
-            # …Algorithm 1 over the requested file's own successors is
-            # deferred to the first query of the (now dirty) list.
-            self.miner.mark_dirty(fid)
+            # the freshly-reinforced incoming edges are logged for an
+            # exact replay on read; Algorithm 1 over the requested
+            # file's own successors waits for the first query of the
+            # (now dirty) list.
+            for pred in touched:
+                miner.defer_edge(pred, fid)
+            miner.mark_dirty(fid)
         else:
-            # …and Algorithm 1 over the requested file's own successors.
-            self.miner.reevaluate(fid)
+            # the freshly-reinforced incoming edges, then Algorithm 1
+            # over the requested file's own successors.
+            for pred in touched:
+                miner.reevaluate_edge(pred, fid)
+            miner.reevaluate(fid)
         self._n_observed += 1
 
     def observe_echo(self, record: TraceRecord) -> None:
@@ -140,10 +148,11 @@ class Farmer:
         skipped outright — the record's owner shard has already folded
         it into the shared vector store this Farmer was constructed
         with. And under lazy re-evaluation the reinforced predecessor
-        lists are only marked dirty rather than eagerly refreshed: the
-        eager refresh exists to match the eager schedule bit-for-bit,
-        but echoed edges have no single-miner counterpart to match, and
-        the predecessors' next query re-ranks their whole list anyway.
+        lists are only marked dirty rather than logged for replay
+        (:meth:`CoMiner.defer_edge`): the replay exists to match the
+        eager schedule bit-for-bit, but echoed edges have no
+        single-miner counterpart to match, and the predecessors' next
+        query re-ranks their whole list anyway.
         """
         if (
             self.config.op_filter is not None
