@@ -4,7 +4,7 @@ These measure the per-request mining cost the paper calls "reasonable
 overhead": the full observe() pipeline, the similarity kernels, the graph
 update and the Correlator List maintenance. The mine/flush benches also
 assert the *op-count* reductions behind the one-pass re-rank kernel
-(zero insorts per re-rank, fewer Function-1 evaluation requests), so the
+(zero insorts per re-rank, fewer Function-1 evaluations), so the
 speedup claims are backed by counted work, not just wall clock.
 
 Run with ``--json`` (or ``BENCH_JSON=dir``) to persist the numbers to
@@ -25,21 +25,21 @@ from repro.graph.correlator_list import CorrelatorList
 from repro.vsm.similarity import dpa_similarity, ipa_similarity
 from repro.vsm.vocabulary import Vocabulary
 
-EAGER_NO_CACHE = FarmerConfig(lazy_reevaluation=False, sim_cache_capacity=0)
+EAGER = FarmerConfig(lazy_reevaluation=False)
 
 
 def _sims_per_request(farmer: Farmer) -> float:
-    """Function-1 computations per mined request (cache misses)."""
+    """Function-1 evaluations per mined request."""
     n = farmer.stats().n_observed
-    return farmer.sim_cache_stats().misses / n if n else 0.0
+    return farmer.f1_evaluations() / n if n else 0.0
 
 
 def bench_farmer_observe_throughput(benchmark, hp_bench_trace, bench_record):
     """Full pipeline: requests mined per second (paper's overhead claim).
 
-    Mines with the default (lazy + versioned sim cache) config and
-    prints the similarity computations per request next to the eager
-    uncached baseline, so the cache win is visible in BENCH output.
+    Mines with the default (lazy, stamped) config and prints the
+    similarity computations per request next to the eager baseline, so
+    the lazy schedule's win is visible in BENCH output.
     """
 
     def mine():
@@ -51,25 +51,22 @@ def bench_farmer_observe_throughput(benchmark, hp_bench_trace, bench_record):
 
     farmer = benchmark.pedantic(mine, rounds=2, iterations=1)
     assert farmer.stats().n_observed == len(hp_bench_trace)
-    eager = Farmer(EAGER_NO_CACHE)
+    eager = Farmer(EAGER)
     for record in hp_bench_trace:
         eager.observe(record)
     per_req_us = benchmark.stats["mean"] / len(hp_bench_trace) * 1e6
-    stats = farmer.sim_cache_stats()
     lazy_sims = _sims_per_request(farmer)
     eager_sims = _sims_per_request(eager)
     ratio = eager_sims / lazy_sims if lazy_sims else float("inf")
     print(f"\n[mining cost: {per_req_us:.1f} us/request]")
     print(
-        f"[sim computations/request: lazy+cache {lazy_sims:.2f} vs eager "
-        f"{eager_sims:.2f} ({ratio:.1f}x fewer); cache hit-rate "
-        f"{stats.hit_rate:.1%} ({stats.hits}/{stats.lookups})]"
+        f"[sim computations/request: lazy {lazy_sims:.2f} vs eager "
+        f"{eager_sims:.2f} ({ratio:.1f}x fewer)]"
     )
     bench_record(
         us_per_request=per_req_us,
         records_per_s=len(hp_bench_trace) / benchmark.stats["mean"],
         sims_per_request=lazy_sims,
-        cache_hit_rate=stats.hit_rate,
     )
 
 
@@ -119,57 +116,34 @@ def bench_predict_under_churn(benchmark, hp_bench_trace, bench_record):
         return farmer
 
     farmer = benchmark.pedantic(churn, rounds=2, iterations=1)
-    stats = farmer.sim_cache_stats()
     per_req_us = benchmark.stats["mean"] / len(hp_bench_trace) * 1e6
-    print(
-        f"\n[observe+predict: {per_req_us:.1f} us/request; cache hit-rate "
-        f"{stats.hit_rate:.1%}; sims/request {_sims_per_request(farmer):.2f}]"
-    )
+    sims = _sims_per_request(farmer)
+    print(f"\n[observe+predict: {per_req_us:.1f} us/request; sims/request {sims:.2f}]")
     bench_record(
         us_per_request=per_req_us,
         records_per_s=len(hp_bench_trace) / benchmark.stats["mean"],
-        cache_hit_rate=stats.hit_rate,
+        sims_per_request=sims,
     )
 
 
 def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
     """The batched mine() fast path (tick-driven flush at batch end).
 
-    The acceptance bench for the re-rank kernels. The headline number is
-    the fastest kernel available — the vectorized ``array`` kernel when
-    numpy is importable, the pure-python ``bulk`` kernel otherwise — and
-    the bulk kernel is timed alongside so the artifact carries the
-    vectorization speedup on the same box. Within the *same run* the
-    bench asserts bit-identical lists across kernels and the op-count
-    reductions: zero binary insertions during re-ranks where the
-    entrywise reference (clear + per-entry ``update``) pays one per
-    retained entry, and reevaluation/scan counters in exact parity.
+    The acceptance bench for the re-rank kernels: it times the bulk
+    kernel and, within the *same run*, asserts bit-identical lists
+    against the entrywise reference and the op-count reductions: zero
+    binary insertions during re-ranks where the entrywise kernel (clear
+    + per-entry ``update``) pays one per retained entry, and
+    reevaluation/scan counters in exact parity.
     """
-    try:
-        import numpy  # noqa: F401 - picks the headline kernel
-
-        kernel = "array"
-    except ImportError:
-        kernel = "bulk"
-    config = FarmerConfig(rerank_kernel=kernel)
 
     def mine():
-        return Farmer(config).mine(hp_bench_trace)
+        return Farmer(FarmerConfig(rerank_kernel="bulk")).mine(hp_bench_trace)
 
     farmer = benchmark.pedantic(mine, rounds=5, iterations=1, warmup_rounds=2)
     assert farmer.stats().n_observed == len(hp_bench_trace)
     per_req_us = benchmark.stats["min"] / len(hp_bench_trace) * 1e6
     rps = len(hp_bench_trace) / benchmark.stats["min"]
-    # the pure-python kernel on the same box, best of 3 (the denominator
-    # of the recorded vectorization speedup)
-    bulk_elapsed = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        bulk_farmer = Farmer(
-            FarmerConfig(rerank_kernel="bulk")
-        ).mine(hp_bench_trace)
-        bulk_elapsed = min(bulk_elapsed, time.perf_counter() - start)
-    bulk_rps = len(hp_bench_trace) / bulk_elapsed
     reference = Farmer(
         FarmerConfig(rerank_kernel="entrywise")
     ).mine(hp_bench_trace)
@@ -179,23 +153,17 @@ def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
     assert stats.entries_scanned == ref_stats.entries_scanned
     assert stats.insort_ops == 0  # the whole point of rebuild()
     assert ref_stats.insort_ops > 0
-    # the speedup only counts if the same run proves equivalence
+    # the timing only counts if the same run proves equivalence
     for fid in reference.constructor.graph.nodes():
-        expected = reference.correlators(fid)
-        assert farmer.correlators(fid) == expected
-        assert bulk_farmer.correlators(fid) == expected
+        assert farmer.correlators(fid) == reference.correlators(fid)
     print(
-        f"\n[batch mine ({kernel}): {per_req_us:.1f} us/request "
-        f"({rps:,.0f} rec/s); bulk {bulk_rps:,.0f} rec/s "
-        f"({rps / bulk_rps:.2f}x); insorts/re-rank: 0 vs entrywise "
+        f"\n[batch mine (bulk): {per_req_us:.1f} us/request "
+        f"({rps:,.0f} rec/s); insorts/re-rank: 0 vs entrywise "
         f"{ref_stats.insort_ops / ref_stats.n_reevaluations:.1f}]"
     )
     bench_record(
         us_per_request=per_req_us,
         records_per_s=rps,
-        kernel=kernel,
-        bulk_records_per_s=bulk_rps,
-        speedup_vs_bulk=rps / bulk_rps,
         bulk_insort_ops=stats.insort_ops,
         entrywise_insort_ops=ref_stats.insort_ops,
         n_reevaluations=stats.n_reevaluations,
@@ -205,8 +173,8 @@ def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
 
 def bench_rerank_kernel_op_counts(benchmark, hp_bench_trace, bench_record):
     """Asserted op-count reductions on the FPA loop: the bulk kernel's
-    stamps absorb Function-1 evaluation requests (sim-cache lookups)
-    and rebuild() eliminates re-rank insorts, at bit-identical output."""
+    stamps cut Function-1 evaluations and rebuild() eliminates re-rank
+    insorts, at bit-identical output."""
 
     def fpa(**kw):
         farmer = Farmer(FarmerConfig(vector_freeze_threshold=8, **kw))
@@ -218,25 +186,23 @@ def bench_rerank_kernel_op_counts(benchmark, hp_bench_trace, bench_record):
     stamped = benchmark.pedantic(fpa, rounds=2, iterations=1)
     plain = fpa(incremental_rerank=False)
     entrywise = fpa(rerank_kernel="entrywise")
-    s_cache, p_cache = stamped.sim_cache_stats(), plain.sim_cache_stats()
+    s_f1, p_f1 = stamped.f1_evaluations(), plain.f1_evaluations()
     s_ops, e_ops = stamped.rerank_stats(), entrywise.rerank_stats()
-    # fewer Function-1 evaluation requests...
-    assert s_cache.lookups < p_cache.lookups / 2
-    # ...never more recomputations...
-    assert s_cache.misses <= p_cache.misses
+    # fewer than half the Function-1 evaluations...
+    assert s_f1 < p_f1 / 2
+    # ...never more...
+    assert s_f1 <= p_f1
     # ...and a fraction of the insort work per re-rank
     assert s_ops.insort_ops < e_ops.insort_ops / 2
     print(
-        f"\n[Function-1 requests: stamped {s_cache.lookups} vs plain "
-        f"{p_cache.lookups} ({p_cache.lookups / s_cache.lookups:.1f}x fewer); "
+        f"\n[Function-1 evaluations: stamped {s_f1} vs plain "
+        f"{p_f1} ({p_f1 / s_f1:.1f}x fewer); "
         f"insorts: bulk {s_ops.insort_ops} vs entrywise {e_ops.insort_ops} "
         f"({e_ops.insort_ops / max(1, s_ops.insort_ops):.1f}x fewer)]"
     )
     bench_record(
-        stamped_f1_requests=s_cache.lookups,
-        plain_f1_requests=p_cache.lookups,
-        stamped_f1_computations=s_cache.misses,
-        plain_f1_computations=p_cache.misses,
+        stamped_f1_evaluations=s_f1,
+        plain_f1_evaluations=p_f1,
         bulk_insort_ops=s_ops.insort_ops,
         entrywise_insort_ops=e_ops.insort_ops,
     )

@@ -46,7 +46,7 @@ def _report(cmp_) -> None:
     print(
         f"\n[{cmp_.n_shards} shards: aggregate {cmp_.aggregate_throughput:,.0f} req/s "
         f"vs single {cmp_.single_throughput:,.0f} req/s = {cmp_.speedup:.2f}x; "
-        f"{cmp_.n_boundary_echoes} echoes; cache hit {cmp_.cache_hit_rate:.1%}]"
+        f"{cmp_.n_boundary_echoes} echoes]"
         f"\n[per-shard: {per_shard}]"
     )
 
@@ -80,7 +80,6 @@ def bench_service_observe_predict_scaling(
         aggregate_records_per_s=cmp_.aggregate_throughput,
         single_records_per_s=cmp_.single_throughput,
         n_boundary_echoes=cmp_.n_boundary_echoes,
-        cache_hit_rate=cmp_.cache_hit_rate,
     )
     if n_shards == 4:
         assert cmp_.speedup >= 2.0, (
@@ -128,39 +127,28 @@ def bench_service_strict_isolation_4shards(benchmark, hp_bench_trace, bench_reco
     bench_record(modeled_speedup=cmp_.speedup)
 
 
-def bench_vector_freeze_hit_rate(benchmark, hp_bench_trace, bench_record):
-    """The vector-stability heuristic: similarity-cache hit rate with
-    and without ``vector_freeze_threshold`` on the FPA loop. Stamps are
-    held off so the cache counters isolate the heuristic itself."""
+def bench_vector_freeze_f1_evaluations(benchmark, hp_bench_trace, bench_record):
+    """The vector-stability heuristic: Function-1 evaluations with and
+    without ``vector_freeze_threshold`` on the FPA loop (the re-rank
+    stamps turn stable versions into reused similarities)."""
 
     def frozen():
-        farmer = Farmer(
-            BASE.with_(vector_freeze_threshold=8, incremental_rerank=False)
-        )
+        farmer = Farmer(BASE.with_(vector_freeze_threshold=8))
         for record in hp_bench_trace:
             farmer.observe(record)
             farmer.predict(record.fid)
         return farmer
 
     farmer = benchmark.pedantic(frozen, rounds=2, iterations=1)
-    baseline = Farmer(BASE.with_(incremental_rerank=False))
+    baseline = Farmer(BASE)
     for record in hp_bench_trace:
         baseline.observe(record)
         baseline.predict(record.fid)
-    hot = farmer.sim_cache_stats()
-    cold = baseline.sim_cache_stats()
-    print(
-        f"\n[cache hit rate: freeze@8 {hot.hit_rate:.1%} vs "
-        f"unfrozen {cold.hit_rate:.1%}; Function-1 computations "
-        f"{hot.misses} vs {cold.misses}]"
-    )
-    assert hot.hit_rate > cold.hit_rate
-    bench_record(
-        frozen_hit_rate=hot.hit_rate,
-        unfrozen_hit_rate=cold.hit_rate,
-        frozen_f1=hot.misses,
-        unfrozen_f1=cold.misses,
-    )
+    hot = farmer.f1_evaluations()
+    cold = baseline.f1_evaluations()
+    print(f"\n[Function-1 evaluations: freeze@8 {hot} vs unfrozen {cold}]")
+    assert hot < cold
+    bench_record(frozen_f1=hot, unfrozen_f1=cold)
 
 
 def bench_sharded_batch_mine_4shards(benchmark, hp_bench_trace, bench_record):

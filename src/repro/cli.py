@@ -180,21 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strict partition isolation (drop cross-shard boundary edges)",
     )
     svc_p.add_argument(
-        "--per-shard-cache",
-        action="store_true",
-        help="private similarity cache per shard instead of the shared one",
-    )
-    svc_p.add_argument(
-        "--kernel",
-        choices=("bulk", "entrywise", "array"),
-        default="bulk",
-        help=(
-            "re-rank kernel: bulk (pure-python one-pass, the default), "
-            "entrywise (per-edge reference), or array (vectorized over "
-            "numpy; bit-identical output, fastest)"
-        ),
-    )
-    svc_p.add_argument(
         "--freeze",
         type=int,
         default=0,
@@ -377,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch boundary echoes every K accepted requests (0 = JIT)",
     )
     serve_p.add_argument(
-        "--kernel",
-        choices=("bulk", "entrywise", "array"),
-        default="bulk",
-        help="re-rank kernel",
-    )
-    serve_p.add_argument(
         "--queue-capacity",
         type=int,
         default=4096,
@@ -514,14 +493,12 @@ def _run_service(args: argparse.Namespace) -> int:
     base = farmer_config_for(
         args.trace,
         shard_policy=policy,
-        shared_sim_cache=not args.per_shard_cache,
         cross_shard_edges=not args.isolate,
         vector_freeze_threshold=args.freeze,
         echo_flush_interval=args.echo_interval,
         echo_idle_drain=args.idle_drain,
         replication=args.replicate,
         standby_sync_interval=args.sync_interval,
-        rerank_kernel=args.kernel,
     )
     records = generate_trace(args.trace, args.events, seed=args.seed)
     predict = not args.no_predict
@@ -535,7 +512,6 @@ def _run_service(args: argparse.Namespace) -> int:
             f"{single_s:.2f}",
             f"{len(records) / single_s:,.0f}",
             "1.00x",
-            "-",
         )
     ]
     for n_shards in (int(s) for s in args.shards.split(",") if s):
@@ -555,13 +531,11 @@ def _run_service(args: argparse.Namespace) -> int:
                 f"{cmp_.critical_path_s:.2f}",
                 f"{cmp_.aggregate_throughput:,.0f}",
                 f"{cmp_.speedup:.2f}x",
-                f"{cmp_.cache_hit_rate:.1%}",
             )
         )
     print(
         f"sharded mining service on '{args.trace}' x{args.events} "
         f"(router={policy}, cross_shard_edges={not args.isolate}, "
-        f"shared_sim_cache={not args.per_shard_cache}, "
         f"freeze={args.freeze}, echo_interval={args.echo_interval}, "
         f"mode={mode})"
     )
@@ -574,7 +548,6 @@ def _run_service(args: argparse.Namespace) -> int:
                 "critical path s",
                 f"{mode}/s",
                 "speedup",
-                "cache hit",
             ),
             rows,
         )
@@ -956,7 +929,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         replication=args.replicate,
         standby_sync_interval=args.sync_interval,
         echo_flush_interval=args.echo_interval,
-        rerank_kernel=args.kernel,
     )
     policy = AdmissionPolicy(
         capacity=args.queue_capacity,

@@ -5,16 +5,17 @@ Four stages (Figure 2): Extracting → Constructing → Mining & Evaluating
 façade.
 """
 
-from repro.core.cominer import CoMiner, RerankStats
+from repro.core.cominer import CoMiner, F1Counter, F1Stats, RerankStats
 from repro.core.config import DEFAULT_ATTRIBUTES, PATHLESS_ATTRIBUTES, FarmerConfig
 from repro.core.constructor import GraphConstructor
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer, FarmerStats
-from repro.core.simcache import SharedSimilarityCache, SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot, Sorter
 
 __all__ = [
     "CoMiner",
+    "F1Counter",
+    "F1Stats",
     "RerankStats",
     "DEFAULT_ATTRIBUTES",
     "PATHLESS_ATTRIBUTES",
@@ -23,9 +24,6 @@ __all__ = [
     "Extractor",
     "Farmer",
     "FarmerStats",
-    "SharedSimilarityCache",
-    "SimCacheStats",
-    "SimilarityCache",
     "CorrelationSnapshot",
     "Sorter",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -46,9 +45,6 @@ class FarmerConfig:
         correlator_capacity: max entries per Correlator List.
         prefetch_k: how many correlates the FPA prefetcher requests.
         op_filter: if set, only these operations are mined.
-        sim_cache_capacity: max (pair → similarity) entries kept in the
-            versioned similarity cache; 0 disables caching (every
-            Function-1 evaluation is recomputed, the eager baseline).
         lazy_reevaluation: if True (default), ``observe()`` only marks
             the requested file's Correlator List dirty and refreshes the
             reinforced edges; the full Algorithm-1 re-rank runs on the
@@ -61,12 +57,10 @@ class FarmerConfig:
             ``CorrelatorList.rebuild``), "entrywise" (offer every
             successor through ``CorrelatorList.update``, a binary
             insertion each — the reference path the equivalence tests
-            compare against), or "array" (batch-vectorized: Function-1
-            and Function-2 evaluated with numpy over every candidate of
-            every flushed list at once, reading the graph's flat
-            successor arrays directly; requires numpy and raises
-            ``ConfigError`` without it). All three produce bit-identical
-            lists.
+            compare against). Both produce bit-identical lists; only
+            "bulk" keeps the entry stamps (``incremental_rerank``), so
+            only it turns stable vectors (``vector_freeze_threshold``)
+            into fewer Function-1 evaluations.
         incremental_rerank: if True (default), the re-rank keeps a
             ``(vector-version pair, N_xy, N_x)`` stamp per Correlator
             entry and skips both Function 1 and Function 2 for
@@ -78,15 +72,16 @@ class FarmerConfig:
             when a list's node tick and the vector-store epoch both
             match its last rank, the candidate scan is skipped outright
             (``RerankStats.entries_skipped_unchanged`` still advances).
-            The "array" kernel keeps its own per-source rank records
-            (similarity rows keyed by vector versions) independent of
-            this flag; "entrywise" ignores it.
+            "entrywise" ignores it.
         vector_freeze_threshold: if > 0, a file's semantic vector is
             frozen (updates ignored, version stops bumping) once it has
             changed this many times — the vector-stability heuristic. A
             merged vector that survived N rewrites has saturated on the
-            file's sharing set, and freezing it turns almost every
-            Function-1 evaluation into a similarity-cache hit. 0 (the
+            file's sharing set. Freezing pays through the bulk kernel's
+            entry stamps: a frozen pair's version stops moving, so its
+            stamped similarity is reused instead of re-evaluated
+            (Function-1 evaluations fall to about a fifth of the
+            unfrozen run on the synthetic HP trace at 8). 0 (the
             default) disables freezing: every request can still reshape
             the vector, the paper's literal reading.
         n_shards: how many independent miner shards a
@@ -151,11 +146,6 @@ class FarmerConfig:
             freshly-ranked Correlator Lists are copied to its standby;
             a smaller interval narrows the failover loss window at the
             cost of more sync work.
-        shared_sim_cache: if True (default), all shards of a
-            ``ShardedFarmer`` share one thread-safe versioned similarity
-            cache (safe because shards also share the vector store, so
-            version keys are namespace-global); if False each shard
-            keeps a private cache (strict shard independence).
         cross_shard_edges: if True (default), a request whose immediate
             predecessor in the service-level stream lives on a different
             shard (a *boundary request*) is observed by both owner
@@ -178,7 +168,6 @@ class FarmerConfig:
     correlator_capacity: int = 16
     prefetch_k: int = 4
     op_filter: tuple[str, ...] | None = None
-    sim_cache_capacity: int = 65536
     lazy_reevaluation: bool = True
     rerank_kernel: str = "bulk"
     incremental_rerank: bool = True
@@ -191,7 +180,6 @@ class FarmerConfig:
     echo_idle_drain: int = 0
     replication: bool = False
     standby_sync_interval: int = 1024
-    shared_sim_cache: bool = True
     cross_shard_edges: bool = True
 
     def __post_init__(self) -> None:
@@ -226,18 +214,8 @@ class FarmerConfig:
             raise ConfigError("correlator_capacity must be >= 1")
         if self.prefetch_k < 0:
             raise ConfigError("prefetch_k must be >= 0")
-        if self.sim_cache_capacity < 0:
-            raise ConfigError("sim_cache_capacity must be >= 0")
-        if self.rerank_kernel not in ("bulk", "entrywise", "array"):
+        if self.rerank_kernel not in ("bulk", "entrywise"):
             raise ConfigError(f"unknown rerank kernel {self.rerank_kernel!r}")
-        if (
-            self.rerank_kernel == "array"
-            and importlib.util.find_spec("numpy") is None
-        ):
-            raise ConfigError(
-                "rerank_kernel='array' requires numpy, which is not "
-                "installed; use the pure-python 'bulk' kernel instead"
-            )
         if self.vector_freeze_threshold < 0:
             raise ConfigError("vector_freeze_threshold must be >= 0")
         if self.n_shards < 1:

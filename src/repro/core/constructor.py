@@ -38,7 +38,7 @@ class GraphConstructor:
             weight_fn=weight_schedule(config.weight_schedule),
         )
         # ``vectors`` may be injected so miner shards can share one
-        # namespace-global store (what keys the shared similarity cache)
+        # namespace-global store (its versions key the re-rank stamps)
         self.vectors = vectors if vectors is not None else VectorStore(config, extractor)
         self.owns_vectors = vectors is None
 

@@ -26,8 +26,8 @@ rebuilds it first) and otherwise logged with its inputs, then replayed
 exactly on the next read of that list — so no Function 1 runs on the
 request itself. The full re-rank + stale-edge sweep happens on the first
 query of a dirty list (``correlators`` / ``predict`` / ``snapshot`` /
-``sorter``), backed by a versioned similarity cache so Function 1 only
-reruns for pairs whose vectors actually changed. Query results therefore
+``sorter``), where the re-rank's entry stamps rerun Function 1 only for
+pairs whose vectors actually changed. Query results therefore
 always reflect a full Algorithm-1 pass; when queries follow the
 triggering request (the FPA pattern) they are bit-identical to the eager
 schedule, and between a request and the next query of some *other* file
@@ -49,11 +49,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.core.cominer import CoMiner, RerankStats
+from repro.core.cominer import CoMiner, F1Counter, RerankStats
 from repro.core.config import FarmerConfig
 from repro.core.constructor import GraphConstructor
 from repro.core.extractor import Extractor
-from repro.core.simcache import SimCacheStats, SimilarityCache
 from repro.core.sorter import CorrelationSnapshot, Sorter
 from repro.core.vector_store import VectorStore
 from repro.graph.correlator_list import CorrelatorEntry
@@ -74,7 +73,7 @@ class FarmerStats:
     n_entries: int
     vocabulary_size: int
     memory_bytes: int
-    sim_cache: SimCacheStats
+    f1_evaluations: int
     rerank: RerankStats
 
     @property
@@ -88,8 +87,8 @@ class Farmer:
 
     The keyword-only parameters inject components that a
     :class:`~repro.service.ShardedFarmer` shares across its shards (one
-    vocabulary, one namespace-global vector store, one versioned
-    similarity cache); a stand-alone Farmer owns private instances and
+    vocabulary, one namespace-global vector store, one Function-1
+    evaluation counter); a stand-alone Farmer owns private instances and
     behaves exactly as before.
     """
 
@@ -99,7 +98,7 @@ class Farmer:
         *,
         vocabulary: Vocabulary | None = None,
         vector_store: VectorStore | None = None,
-        sim_cache: SimilarityCache | None = None,
+        sim_cache: F1Counter | None = None,
     ) -> None:
         self.config = config if config is not None else FarmerConfig()
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
@@ -302,14 +301,11 @@ class Farmer:
             + self.miner.approx_bytes()
         )
 
-    def sim_cache_stats(self) -> SimCacheStats:
-        """Similarity-cache counters (hit rate, Function-1 recomputes).
-
-        The supported surface for benchmarks and experiments — no need
-        to reach into ``miner.sim_cache`` internals. Note that under a
-        shared cache these counters aggregate every sharing shard.
-        """
-        return self.miner.sim_cache_stats()
+    def f1_evaluations(self) -> int:
+        """Function-1 evaluations so far — the supported surface for
+        benchmarks and experiments. Under a counter shared by a sharded
+        service this counts every sharing shard."""
+        return self.miner.f1_evaluations()
 
     def rerank_stats(self) -> RerankStats:
         """Re-rank op counters (re-evaluations, entries scanned/skipped,
@@ -327,6 +323,6 @@ class Farmer:
             n_entries=snap.n_entries,
             vocabulary_size=len(self.vocabulary),
             memory_bytes=self.memory_bytes(),
-            sim_cache=self.sim_cache_stats(),
+            f1_evaluations=self.f1_evaluations(),
             rerank=self.rerank_stats(),
         )

@@ -15,7 +15,7 @@ Shared stores are externalized
 ------------------------------
 
 One service holds namespace-global stores (vocabulary, vector store,
-similarity cache) shared by every shard *by identity*. Pickling each
+Function-1 counter) shared by every shard *by identity*. Pickling each
 shard naively would duplicate them per shard and sever the sharing on
 restore. Instead the stores are written once to ``shared.pkl`` and
 every other blob references them through pickle persistent IDs

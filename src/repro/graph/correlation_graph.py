@@ -15,8 +15,7 @@ Array-backed successor layout
 -----------------------------
 
 A node's successor table is stored as parallel flat arrays (stdlib
-``array`` — pure-python complete, zero-copy viewable by numpy) in
-insertion order, plus a ``fid → slot`` index:
+``array``) in insertion order, plus a ``fid → slot`` index:
 
 * ``succ_fids``    (int64)   — successor fids;
 * ``succ_weights`` (float64) — LDA-weighted counts ``N_xy``;
@@ -24,8 +23,7 @@ insertion order, plus a ``fid → slot`` index:
 * ``succ_last``    (int64)   — last observed window distance.
 
 The layout buys three things. Re-rank kernels read a node's whole
-candidate set as contiguous slices (the "array" kernel hands
-``succ_weights`` straight to numpy). ``clone`` / ``pop_node`` /
+candidate set as contiguous slices. ``clone`` / ``pop_node`` /
 ``adopt_node`` — the rebalance-migration and standby-sync ship units —
 are four C-level array copies instead of a per-edge object walk. And
 membership changes are observable in O(1): ``succ_version`` bumps on

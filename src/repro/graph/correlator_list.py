@@ -33,16 +33,11 @@ from typing import NamedTuple
 
 from repro.errors import ConfigError
 
-try:  # numpy is optional: only the array re-rank kernel needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
 __all__ = ["CorrelatorEntry", "CorrelatorList"]
 
 # Below this many above-threshold candidates a full C sort beats a heap
-# partial-select (or an argpartition round-trip through numpy), so the
-# partial paths only engage past it. Any value preserves exact output.
+# partial-select, so the partial path only engages past it. Any value
+# preserves exact output.
 _PARTIAL_SELECT_MIN = 64
 
 
@@ -138,48 +133,6 @@ class CorrelatorList:
             del keyed[capacity:]
         self._entries = [CorrelatorEntry(fid, -neg) for neg, fid in keyed]
         self._degrees = {fid: -neg for neg, fid in keyed}
-
-    def rebuild_arrays(self, fids, degrees) -> None:
-        """:meth:`rebuild` over parallel numpy arrays (the array-kernel
-        path): ``fids`` int64 and ``degrees`` float64, same exact output
-        as ``rebuild(zip(fids, degrees))``.
-
-        Past the partial-select cutoff the capacity cut runs as an
-        ``np.partition`` on the negated degrees with explicit boundary
-        handling — the strictly-better prefix is kept wholesale and the
-        boundary-degree ties are filled by ascending fid, which is
-        precisely the ``(-degree, fid)`` order a full sort would use.
-        """
-        np = _np
-        neg = -degrees
-        mask = degrees > self.threshold
-        if not mask.all():
-            neg = neg[mask]
-            fids = fids[mask]
-        n = len(neg)
-        if n == 0:
-            self._entries = []
-            self._degrees = {}
-            return
-        capacity = self.capacity
-        if n > capacity and n >= _PARTIAL_SELECT_MIN:
-            kth = np.partition(neg, capacity - 1)[capacity - 1]
-            better = neg < kth
-            n_better = int(np.count_nonzero(better))
-            need = capacity - n_better
-            tie_fids = fids[neg == kth]
-            if need < len(tie_fids):
-                # break boundary ties by ascending fid (fids are unique)
-                tie_fids = np.partition(tie_fids, need - 1)[:need]
-            neg = np.concatenate([neg[better], np.full(len(tie_fids), kth)])
-            fids = np.concatenate([fids[better], tie_fids])
-            n = len(neg)
-        order = np.lexsort((fids, neg))
-        if n > capacity:
-            order = order[:capacity]
-        pairs = list(zip(fids[order].tolist(), (-neg[order]).tolist()))
-        self._entries = [CorrelatorEntry(f, d) for f, d in pairs]
-        self._degrees = dict(pairs)
 
     def _remove(self, fid: int, degree: float) -> None:
         del self._degrees[fid]

@@ -2,7 +2,7 @@
 
 :class:`ShardedFarmer` splits the fid namespace across N independent
 miner shards behind a deterministic router, sharing the vocabulary, the
-vector store and (optionally) a thread-safe versioned similarity cache.
+vector store and a Function-1 evaluation counter.
 This is the architectural seam for scaling the miner alongside the
 metadata servers: shard *i* co-locates with MDS *i* in the cluster
 simulator, and :class:`ParallelShardRunner` executes the shards on real
@@ -46,7 +46,6 @@ from repro.service.sharded import (
 )
 from repro.service.stats import (
     ServiceStats,
-    combine_cache_stats,
     combine_rerank_stats,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "ShardedFarmer",
     "StreamIngestReport",
     "ServiceStats",
-    "combine_cache_stats",
     "combine_rerank_stats",
 ]

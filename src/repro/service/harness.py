@@ -67,7 +67,6 @@ class ServiceComparison:
     single_elapsed_s: float
     timings: tuple[ShardTiming, ...]
     n_boundary_echoes: int
-    cache_hit_rate: float
     memory_bytes: int
 
     @property
@@ -177,7 +176,6 @@ def compare_single_vs_sharded(
         single_elapsed_s=single_elapsed_s,
         timings=timings,
         n_boundary_echoes=service.n_boundary_echoes,
-        cache_hit_rate=service.sim_cache_stats().hit_rate,
         memory_bytes=service.memory_bytes(),
     )
 

@@ -8,7 +8,7 @@ failover a first-class, property-tested operation:
 
 * :class:`ShardReplica` — one standby: a full :class:`~repro.core.
   farmer.Farmer` sharing the service's namespace-global stores
-  (vocabulary, vector store, similarity cache — those are not shard
+  (vocabulary, vector store, Function-1 counter — those are not shard
   state and survive a shard failure by construction), holding a copy of
   the primary's *private* mining state (graph nodes, Correlator Lists,
   sliding window) as of the last sync barrier.
@@ -227,7 +227,7 @@ class ShardReplicator:
     ``config.replication=True``; the service triggers barriers on its
     accepted-request cadence and calls :meth:`take` / :meth:`reseed`
     during a promotion. Standbys share the service's vocabulary, vector
-    store and similarity cache — those are namespace-global, not shard
+    store and Function-1 counter — those are namespace-global, not shard
     state, so a shard failure never loses them.
     """
 

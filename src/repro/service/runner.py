@@ -22,16 +22,16 @@ with each phase fanned out across workers:
   records skip vector updates entirely). Per-shard graphs are private.
 * **Barrier** — the executor joins all ingest futures.
 * **Flush** only *reads* the now-quiescent vector store; writes go to
-  shard-private lists and the lock-protected shared similarity cache.
+  shard-private lists and the lock-protected Function-1 counter.
 
 Mined lists are therefore bit-identical to the sequential
 ``ShardedFarmer.mine`` over the same records, for both backends
-(property-tested). Two sources of benign nondeterminism remain and are
-out of the equivalence scope: vocabulary *id assignment* varies with
-thread interleaving (ids are opaque — similarity compares them only for
-equality, so degrees are unaffected), and shared-cache hit/miss
-*counters* vary (two shards may race to compute the same pair; both
-compute the same value).
+(property-tested), and under the thread backend so is the service-wide
+Function-1 evaluation count. One source of benign nondeterminism
+remains and is out of the equivalence scope: vocabulary *id
+assignment* varies with thread interleaving (ids are opaque —
+similarity compares them only for equality, so degrees are
+unaffected).
 
 Backends
 --------

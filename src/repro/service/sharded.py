@@ -12,20 +12,17 @@ simulator, one per process in a real deployment).
 Shared state — and why sharing is safe
 --------------------------------------
 
-Three components are deliberately *not* sharded:
+Two components are deliberately *not* sharded:
 
 * the **vocabulary** (interned attribute tokens) — ids must agree across
   shards for vectors to be comparable;
 * the **vector store** — a file's semantic vector is a property of the
   namespace, not of a partition, so one store holds the truth and its
-  monotonic versions are global;
-* the **similarity cache** (``shared_sim_cache=True``, the default) — a
-  thread-safe :class:`~repro.core.simcache.SharedSimilarityCache` whose
-  entries are keyed on vector versions. Because versions come from the
-  single shared store, an entry written by one shard is exact for every
-  other shard; a shard whose endpoint moved on simply misses. Stale
-  values are unservable by construction, which is what makes cross-shard
-  reuse of Function-1 work safe without invalidation traffic.
+  monotonic versions are global.
+
+Every shard also reports into one shared Function-1 evaluation counter
+(:class:`~repro.core.cominer.F1Counter`, ``ShardedFarmer.sim_cache``),
+so the service-wide count needs no summing.
 
 Cross-shard edges (``cross_shard_edges``) and batched echoes
 ------------------------------------------------------------
@@ -84,7 +81,7 @@ List ship from the old owner to the new one through the same
 serialization seam the process-backend runner uses
 (:meth:`~repro.core.cominer.CoMiner.flush_nodes_report` /
 ``adopt_migrated``); nothing is re-mined. The shared vocabulary, vector
-store and similarity cache are namespace-global and never move.
+store and Function-1 counter are namespace-global and never move.
 Pre-rebalance query results are preserved verbatim (the migrated list
 is the list the old owner would have served), and with ``window=1`` —
 the regime where boundary echoes capture the cross-shard edge set
@@ -100,7 +97,7 @@ through the same state-shipping seam a rebalance migration uses, every
 ``standby_sync_interval`` accepted requests (and on demand via
 :meth:`sync_standbys`). :meth:`ShardedFarmer.fail_shard` simulates the
 loss of a shard's private mining state — its graph, lists and in-flight
-echoes are gone; the shared vocabulary/vector store/similarity cache
+echoes are gone; the shared vocabulary/vector store/Function-1 counter
 are namespace-global and survive by construction. While failed,
 requests and queries routed to that shard raise
 :class:`~repro.errors.ShardFailedError`; every other partition keeps
@@ -136,10 +133,10 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from repro.core.cominer import F1Counter
 from repro.core.config import FarmerConfig
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer
-from repro.core.simcache import SharedSimilarityCache, SimCacheStats
 from repro.core.sorter import CorrelationSnapshot
 from repro.core.vector_store import ThreadSafeVectorStore
 from repro.errors import ConfigError, ReplicationError, ShardFailedError
@@ -150,7 +147,7 @@ from repro.service.replication import (
     StandbySyncReport,
 )
 from repro.service.router import ShardRouter, make_router
-from repro.service.stats import ServiceStats, combine_cache_stats, load_signal
+from repro.service.stats import ServiceStats, load_signal
 from repro.traces.record import TraceRecord
 from repro.vsm.vocabulary import ThreadSafeVocabulary
 
@@ -256,17 +253,13 @@ class ShardedFarmer:
         # the shared stores are the service's write-contended state: the
         # vocabulary locks interning (all shards intern), the vector
         # store locks updates (shards write disjoint fids, but the dicts
-        # underneath still need serialised mutation), and the similarity
-        # cache locks everything. This is what lets ParallelShardRunner
-        # execute shards on real threads.
+        # underneath still need serialised mutation), and the Function-1
+        # counter locks its increments. This is what lets
+        # ParallelShardRunner execute shards on real threads.
         self.vocabulary = ThreadSafeVocabulary()
         self.extractor = Extractor(self.config.attributes, self.vocabulary)
         self.vector_store = ThreadSafeVectorStore(self.config, self.extractor)
-        self.sim_cache = (
-            SharedSimilarityCache(self.config.sim_cache_capacity)
-            if self.config.shared_sim_cache
-            else None
-        )
+        self.sim_cache = F1Counter()
         self.shards: tuple[Farmer, ...] = tuple(
             Farmer(
                 self.config,
@@ -822,22 +815,15 @@ class ShardedFarmer:
             mean_top_degree=sum(tops) / len(tops),
         )
 
-    def sim_cache_stats(self) -> SimCacheStats:
-        """Service-level similarity-cache counters (shared cache's, or
-        the per-shard caches summed)."""
-        if self.sim_cache is not None:
-            return self.sim_cache.stats()
-        return combine_cache_stats(
-            [shard.sim_cache_stats() for shard in self.shards]
-        )
+    def f1_evaluations(self) -> int:
+        """Function-1 evaluations across every shard and standby."""
+        return self.sim_cache.stats().evaluations
 
     def memory_bytes(self) -> int:
         """Total footprint; shared components are counted exactly once.
         Queued-but-undelivered echoes are transport, not mining state,
         and are not counted (the records are owned by the trace)."""
         total = self.vocabulary.approx_bytes() + self.vector_store.approx_bytes()
-        if self.sim_cache is not None:
-            total += self.sim_cache.approx_bytes()
         # shards skip the injected (non-owned) components themselves
         total += sum(shard.memory_bytes() for shard in self.shards)
         if self._replicator is not None:
@@ -865,7 +851,7 @@ class ShardedFarmer:
         return self._n_echo_flushes
 
     def stats(self) -> ServiceStats:
-        """Aggregated per-shard stats, cache counters and memory
+        """Aggregated per-shard stats, Function-1 count and memory
         (pending echoes are delivered first so every counter reflects
         the full routed stream; ``echo_queue_depths`` is captured
         *before* that drain — it reports the queues as the caller found
@@ -878,7 +864,7 @@ class ShardedFarmer:
             n_observed=self._n_observed,
             n_boundary_echoes=self._n_boundary_echoes,
             shards=tuple(shard.stats() for shard in self.shards),
-            sim_cache=self.sim_cache_stats(),
+            f1_evaluations=self.f1_evaluations(),
             memory_bytes=self.memory_bytes(),
             n_echo_flushes=self._n_echo_flushes,
             n_rebalances=self._n_rebalances,
@@ -933,7 +919,7 @@ class ShardedFarmer:
         post-rebalance queries serve exactly the lists the old owners
         would have served. Shards beyond a shrunken count are dropped
         after their fids migrate out; new shards join sharing the same
-        vocabulary, vector store and similarity cache. Halo state left
+        vocabulary, vector store and Function-1 counter. Halo state left
         behind on old shards (echo by-products for fids that moved) is
         unreachable through queries and is reclaimed as those graphs
         evolve.
@@ -1225,7 +1211,7 @@ class ShardedFarmer:
         discarded, and its queued (in-flight) boundary echoes are
         dropped — at-most-once delivery, exactly what a crashed
         destination costs. The shared vocabulary, vector store and
-        similarity cache are namespace-global and unaffected. Until
+        Function-1 counter are namespace-global and unaffected. Until
         :meth:`promote_standby` runs, requests and queries routed to
         this shard raise :class:`ShardFailedError` while every other
         partition keeps serving; aggregate accounting (``snapshot`` /

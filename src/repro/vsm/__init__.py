@@ -8,6 +8,7 @@ from repro.vsm.similarity import (
     dpa_similarity,
     ipa_similarity,
     similarity,
+    similarity_row,
 )
 from repro.vsm.vector import SemanticVector, bag_intersection
 from repro.vsm.vocabulary import Vocabulary
@@ -33,6 +34,7 @@ __all__ = [
     "dpa_similarity",
     "ipa_similarity",
     "similarity",
+    "similarity_row",
     "SemanticVector",
     "bag_intersection",
     "Vocabulary",

@@ -25,6 +25,7 @@ __all__ = [
     "dpa_similarity",
     "ipa_similarity",
     "similarity",
+    "similarity_row",
     "SIMILARITY_METHODS",
 ]
 
@@ -114,3 +115,43 @@ def similarity(
     if method == "dpa":
         return dpa_similarity(a, b)
     raise ValueError(f"unknown similarity method {method!r}; use one of {SIMILARITY_METHODS}")
+
+
+def similarity_row(
+    a: SemanticVector, bs, method: str = "ipa", path_mode: str = "bag"
+) -> list[float]:
+    """Function 1 of one source against many: ``similarity(a, b)`` for
+    every ``b`` of ``bs``, in order, bit-identical to the per-pair calls.
+
+    IPA in bag mode (the default, and the re-rank hot path) is evaluated
+    inline with the source side — its item count, scalar set and sorted
+    path — resolved once for the whole row; the arithmetic is exactly
+    :func:`ipa_similarity`'s.
+    """
+    if method != "ipa" or path_mode != "bag":
+        return [similarity(a, b, method, path_mode) for b in bs]
+    na = a.n_ipa
+    sa = a._scalar_set
+    if sa is None:
+        sa = a.scalar_set
+    pa = a.path_ids
+    spa = a.sorted_path if pa else None
+    lpa = len(pa) if pa else 0
+    out: list[float] = []
+    append = out.append
+    for b in bs:
+        nb = b.n_ipa
+        denom = na if na >= nb else nb
+        if denom == 0:
+            append(0.0)
+            continue
+        sb = b._scalar_set
+        if sb is None:
+            sb = b.scalar_set
+        hits = float(len(sa & sb))
+        pb = b.path_ids
+        if pa and pb:
+            lpb = len(pb)
+            hits += bag_intersection(spa, b.sorted_path) / (lpa if lpa >= lpb else lpb)
+        append(hits / denom)
+    return out

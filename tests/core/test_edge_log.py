@@ -11,8 +11,6 @@ list reads, snapshots and flushes — across re-rank kernels, Function-2
 weights and a 2-shard service with rebalance and standby sync.
 """
 
-import importlib.util
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +23,6 @@ from repro.service.sharded import ShardedFarmer
 from tests.conftest import generate_trace, make_record, sequence_records
 
 KERNELS = ["bulk", "entrywise"]
-if importlib.util.find_spec("numpy") is not None:
-    KERNELS.append("array")
 
 FIDS = range(5)
 _PATHS = (None, "/a/b/c", "/a/b/d", "/a/a/b", "/x/a/b/c")
@@ -171,17 +167,17 @@ class TestReplayExactness:
 class TestObservePath:
     def test_observe_consults_no_cache(self):
         """Under lazy re-evaluation a request runs no Function 1: the
-        similarity cache sees no lookup until something is queried."""
+        evaluation count stays put until something is queried."""
         farmer = Farmer(FarmerConfig(max_strength=0.0))
         records = sequence_records([1, 2, 3, 1, 4, 2] * 10, path="/p/x")
         farmer.observe(records[0])
         farmer.predict(records[0].fid)
-        before = farmer.sim_cache_stats().lookups
+        before = farmer.f1_evaluations()
         for record in records[1:]:
             farmer.observe(record)
-        assert farmer.sim_cache_stats().lookups == before
+        assert farmer.f1_evaluations() == before
         farmer.snapshot()
-        assert farmer.sim_cache_stats().lookups > before
+        assert farmer.f1_evaluations() > before
 
     def test_dirty_predecessor_logs_nothing(self):
         farmer = Farmer(FarmerConfig(max_strength=0.0))
@@ -251,12 +247,12 @@ class TestSettlePoints:
 
     def test_pure_getters_do_not_replay(self):
         farmer, _ = _logged_pair(2, 3)
-        lookups = farmer.sim_cache_stats().lookups
+        evaluations = farmer.f1_evaluations()
         farmer.memory_bytes()
         farmer.miner.n_lists()
         farmer.rerank_stats()
         assert 1 in farmer.miner._edge_log
-        assert farmer.sim_cache_stats().lookups == lookups
+        assert farmer.f1_evaluations() == evaluations
 
 
 class TestPersistence:

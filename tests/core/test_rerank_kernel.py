@@ -1,23 +1,17 @@
-"""The one-pass re-rank kernel: bulk vs entrywise vs array.
+"""The one-pass re-rank kernel: bulk vs entrywise.
 
 The acceptance property for the re-rank kernels: over a randomized
 20k-record synthetic trace, a Farmer on the bulk kernel (incremental
-stamps on *and* off) — and, when numpy is available, on the vectorized
-array kernel — returns bit-identical query results to the
+stamps on *and* off) returns bit-identical query results to the
 entry-by-entry reference path, under both the lazy and the eager
 schedule — while doing measurably less work (no insorts during
-re-ranks, fewer Function-1 evaluation requests).
+re-ranks, fewer Function-1 evaluations).
 """
 
-import importlib.util
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
-from repro.core.simcache import SharedSimilarityCache, SimilarityCache
 from repro.traces.synthetic import generate_trace
 from tests.conftest import make_record
 
@@ -26,11 +20,6 @@ KERNELS = {
     "bulk": dict(rerank_kernel="bulk", incremental_rerank=False),
     "entrywise": dict(rerank_kernel="entrywise"),
 }
-if importlib.util.find_spec("numpy") is not None:
-    # the vectorized kernel rides every equivalence property below; on
-    # a no-numpy interpreter the matrix simply shrinks to the pure
-    # kernels (the array kernel refuses to construct, by contract)
-    KERNELS["array"] = dict(rerank_kernel="array")
 
 
 def farmers_for(**common):
@@ -132,8 +121,8 @@ class TestOpCounts:
         assert bulk.insort_ops < entry.insort_ops / 2
 
     def test_stamps_cut_function1_requests(self):
-        """With stable vectors, the per-entry sim memo absorbs most
-        Function-1 evaluation requests before they reach the cache."""
+        """With stable vectors, the per-entry stamps reuse most
+        similarities instead of re-evaluating Function 1."""
         trace = generate_trace("hp", 4_000, seed=9)
 
         def fpa(with_stamps: bool) -> Farmer:
@@ -153,22 +142,22 @@ class TestOpCounts:
         fids = set(stamped.constructor.graph.nodes())
         for fid in fids:
             assert stamped.correlators(fid) == plain.correlators(fid)
-        # ...with far fewer Function-1 evaluation requests, and no more
-        # actual recomputations
-        assert stamped.sim_cache_stats().lookups < plain.sim_cache_stats().lookups / 2
-        assert stamped.sim_cache_stats().misses <= plain.sim_cache_stats().misses
+        # ...with far fewer Function-1 evaluations
+        assert stamped.f1_evaluations() < plain.f1_evaluations() / 2
 
     def test_semantic_distances_batch_kernel(self):
         """The batch kernel answers a whole successor set in one pass,
-        agreeing with the single-pair path and warming the cache (the
-        counters and LRU order are pinned by TestRowConsultEquivalence)."""
+        agreeing with the single-pair path and counting one evaluation
+        per destination that has a vector."""
         trace = generate_trace("hp", 1_000, seed=4)
         farmer = Farmer()
         for record in trace:
             farmer.observe(record)
         src = trace[0].fid
         dsts = list(farmer.constructor.graph.successors(src)) + [999_999]
+        before = farmer.f1_evaluations()
         batch = farmer.miner.semantic_distances(src, dsts)
+        assert farmer.f1_evaluations() - before == len(dsts) - 1
         assert len(batch) == len(dsts)
         assert batch == [farmer.semantic_distance(src, d) for d in dsts]
         assert batch[-1] == 0.0  # unseen fid
@@ -210,112 +199,122 @@ class TestStampCorrectness:
             FarmerConfig(rerank_kernel="quantum")
 
 
-class _PerPairConsult:
-    """Serves every row consult as per-pair ``semantic_distance`` calls
-    on the owning miner: one ``lookup`` (then, on a miss, the public
-    similarity function and one ``store``) per destination."""
-
-    def consult_row(self, a, ver_a, va, row, compute=None):
-        return [self.miner.semantic_distance(a, b) for b, _ver_b, _vb in row]
-
-
-class _PerPairCache(_PerPairConsult, SimilarityCache):
-    pass
-
-
-class _PerPairSharedCache(_PerPairConsult, SharedSimilarityCache):
-    pass
-
-
-_PATHS = (None, "/a/b/c", "/a/b/d", "/a/a/b", "/x/a/b/c", "/x/y")
-_records = st.tuples(
-    st.integers(0, 9),  # fid
-    st.integers(0, 2),  # uid
-    st.integers(0, 2),  # pid
-    st.sampled_from(_PATHS),
-)
-_steps = st.lists(
-    st.one_of(
-        # observe, then query the observed file (the FPA schedule)
-        st.tuples(st.just("observe"), _records),
-        # batch-mine a chunk (tick-driven flush), then query some file
-        st.tuples(st.just("mine"), st.lists(_records, min_size=1, max_size=6)),
-        # a query of some file
-        st.tuples(st.just("ask"), st.integers(0, 9)),
-    ),
-    min_size=1,
-    max_size=60,
-)
+def _assert_second_rank_skips_whole_list(config: FarmerConfig) -> None:
+    """mine → dirty+query (primes the skip state) → dirty+query again:
+    the second rank must skip the full candidate scan, advancing
+    ``entries_skipped_unchanged`` by exactly the successor count while
+    serving the identical list."""
+    trace = generate_trace("hp", 2_000, seed=17)
+    farmer = Farmer(config)
+    farmer.mine(trace)
+    node_map = farmer.constructor.graph.node_map()
+    fid = max(node_map, key=lambda g: len(node_map[g].succ_fids))
+    d = len(node_map[fid].succ_fids)
+    assert d > 0
+    farmer.miner.mark_dirty(fid)
+    first = farmer.correlators(fid)
+    farmer.miner.mark_dirty(fid)
+    before = farmer.rerank_stats()
+    again = farmer.correlators(fid)
+    after = farmer.rerank_stats()
+    assert again == first
+    assert after.n_reevaluations - before.n_reevaluations == 1
+    assert after.entries_scanned - before.entries_scanned == d
+    assert after.entries_skipped_unchanged - before.entries_skipped_unchanged == d
 
 
-class TestRowConsultEquivalence:
-    """The bulk kernel's batched cache consult is indistinguishable from
-    per-pair ``semantic_distance`` consults: same lists and degrees, the
-    same ``SimCacheStats`` and the same LRU key order — across cache
-    capacities (3 forces evictions mid-row), shared and private caches,
-    and every path method and mode (IPA bag is the inlined arithmetic,
-    the rest call the public similarity functions)."""
+class TestFullSkip:
+    def test_bulk_whole_list_epoch_skip(self):
+        """The bulk kernel's (tick, epoch) stamp proves the whole list
+        unchanged and skips the scan."""
+        _assert_second_rank_skips_whole_list(
+            FarmerConfig(rerank_kernel="bulk", incremental_rerank=True)
+        )
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        steps=_steps,
-        capacity=st.sampled_from([0, 3, None]),
-        shared=st.booleans(),
-        path_method=st.sampled_from(["ipa", "dpa"]),
-        path_mode=st.sampled_from(["bag", "prefix"]),
-        # "first" freezes vectors, so the stamps reuse similarities
-        sv_policy=st.sampled_from(["merge", "first"]),
+    def test_skip_invalidated_by_vector_churn(self):
+        """A vector-store epoch move disarms the full skip: the next
+        rank rescans instead of serving the stale list."""
+        farmer = Farmer(FarmerConfig(sv_policy="latest", max_strength=0.0))
+        for i in range(6):
+            farmer.observe(make_record(1, uid=1, pid=1, host=1, ts=2 * i))
+            farmer.observe(make_record(2, uid=1, pid=1, host=1, ts=2 * i + 1))
+        farmer.miner.mark_dirty(1)
+        farmer.correlators(1)  # skip state now primed
+        # churn fid 2's vector (new uid/pid/host => new scalar ids)
+        farmer.observe(make_record(2, uid=9, pid=9, host=9, ts=100))
+        farmer.miner.mark_dirty(1)
+        before = farmer.rerank_stats()
+        after_list = {e.fid: e.degree for e in farmer.correlators(1)}
+        stats = farmer.rerank_stats()
+        assert stats.entries_skipped_unchanged == before.entries_skipped_unchanged
+        assert after_list[2] == pytest.approx(farmer.correlation_degree(1, 2))
+
+
+def _stamped_and_plain(**common) -> tuple[Farmer, Farmer]:
+    return (
+        Farmer(FarmerConfig(rerank_kernel="bulk", **common)),
+        Farmer(
+            FarmerConfig(rerank_kernel="bulk", incremental_rerank=False, **common)
+        ),
     )
-    def test_row_consult_matches_per_pair_schedule(
-        self, steps, capacity, shared, path_method, path_mode, sv_policy
-    ):
-        knobs = dict(
-            max_strength=0.0,
-            correlator_capacity=4,
-            path_method=path_method,
-            path_mode=path_mode,
-            sv_policy=sv_policy,
-        )
-        if capacity is not None:
-            knobs["sim_cache_capacity"] = capacity
-        config = FarmerConfig(**knobs)
-        cap = config.sim_cache_capacity
-        under_test = Farmer(
-            config, sim_cache=SharedSimilarityCache(cap) if shared else None
-        )
-        ref_cache = (_PerPairSharedCache if shared else _PerPairCache)(cap)
-        ref = Farmer(config, sim_cache=ref_cache)
-        ref_cache.miner = ref.miner
-        cache = under_test.miner.sim_cache
 
-        def assert_same_cache():
-            assert cache.stats() == ref_cache.stats()
-            assert list(cache._entries) == list(ref_cache._entries)
 
-        ts = 0
-        for kind, arg in steps:
-            if kind == "ask":
-                fid = arg
-            else:
-                records = []
-                for fid, uid, pid, path in [arg] if kind == "observe" else arg:
-                    ts += 1
-                    records.append(
-                        make_record(fid, ts=ts, uid=uid, pid=pid, path=path)
-                    )
-                for farmer in (under_test, ref):
-                    if kind == "observe":
-                        farmer.observe(records[0])
-                    else:
-                        farmer.mine(records)
-            assert under_test.correlators(fid) == ref.correlators(fid)
-            assert_same_cache()
-        for fid in range(10):
-            assert under_test.correlators(fid) == ref.correlators(fid)
-        fids = list(range(11))  # fid 10 has no vector
-        for src in fids:
-            assert under_test.miner.semantic_distances(
-                src, fids
-            ) == ref.miner.semantic_distances(src, fids)
-        assert_same_cache()
-        assert under_test.rerank_stats() == ref.rerank_stats()
+class TestStampReuseEquivalence:
+    def test_vector_churn_interleaved_queries(self):
+        """Per-entry stamp reuse under the churny "latest" policy stays
+        bit-identical to the stamp-free bulk oracle at every query."""
+        trace = generate_trace("hp", 6_000, seed=29)
+        fa, fb = _stamped_and_plain(
+            max_strength=0.0, sv_policy="latest", weight_p=0.9
+        )
+        for i, record in enumerate(trace):
+            fa.observe(record)
+            fb.observe(record)
+            assert fa.correlators(record.fid) == fb.correlators(record.fid), i
+        assert fa.snapshot() == fb.snapshot()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(path_method="dpa"),
+            dict(path_mode="prefix"),
+            dict(weight_p=1.0),
+            dict(weight_p=0.0),
+            dict(vector_freeze_threshold=4),
+        ],
+        ids=["dpa", "prefix", "p=1", "p=0", "freeze"],
+    )
+    def test_off_fast_path_configs(self, overrides):
+        """Configs that leave the inlined IPA-bag row (dpa, prefix
+        mode) or degenerate the Function-2 blend still agree with the
+        stamp-free oracle."""
+        trace = generate_trace("hp", 3_000, seed=31)
+        fa, fb = _stamped_and_plain(max_strength=0.0, **overrides)
+        for i, record in enumerate(trace):
+            fa.observe(record)
+            fb.observe(record)
+            assert fa.predict(record.fid) == fb.predict(record.fid), i
+        fids = set(fb.constructor.graph.nodes())
+        assert set(fa.constructor.graph.nodes()) == fids
+        for fid in fids:
+            assert fa.correlators(fid) == fb.correlators(fid)
+
+
+class TestWideNodes:
+    def test_wide_nodes_end_to_end(self):
+        """High successor capacity with a tight list capacity drives
+        the bulk rebuild's heap partial-select (d >= 64); the lists
+        must still match the entrywise reference."""
+        trace = generate_trace("hp", 12_000, seed=37)
+        common = dict(
+            max_strength=0.0, successor_capacity=256, correlator_capacity=8
+        )
+        fa = Farmer(FarmerConfig(rerank_kernel="bulk", **common))
+        fb = Farmer(FarmerConfig(rerank_kernel="entrywise", **common))
+        fa.mine(trace)
+        fb.mine(trace)
+        node_map = fa.constructor.graph.node_map()
+        widest = max(len(n.succ_fids) for n in node_map.values())
+        assert widest >= 64  # the partial-select path engaged
+        for fid in fb.constructor.graph.nodes():
+            assert fa.correlators(fid) == fb.correlators(fid)

@@ -1,6 +1,8 @@
 """Snapshot faithfulness: a restore is the captured service, bit for
 bit — shared-store identity, lazy-rank schedule, standbys and all."""
 
+import json
+
 import pytest
 
 from repro.core.config import FarmerConfig
@@ -137,3 +139,20 @@ class TestConfigMismatch:
         booting = DurabilityManager(tmp_path)
         with pytest.raises(SnapshotMismatchError, match=field):
             booting.recover(CFG.with_(**override))
+
+    def test_snapshot_with_removed_fields_is_refused(self, tmp_path, records):
+        """A data directory written while the config still had the
+        similarity-cache fields is refused by name, not skipped: the
+        manifest format is unchanged, so the snapshot stays readable
+        and the config check is what stops the restore."""
+        manager = DurabilityManager(tmp_path)
+        manager.checkpoint(build_service(CFG, records[:1_000]), 1_000)
+        manifest_path = latest_snapshot(manager.snapshot_dir) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["sim_cache_capacity"] = 65536
+        manifest["config"]["shared_sim_cache"] = True
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotMismatchError) as excinfo:
+            DurabilityManager(tmp_path).recover(CFG)
+        assert "sim_cache_capacity" in str(excinfo.value)
+        assert "shared_sim_cache" in str(excinfo.value)

@@ -61,7 +61,6 @@ class TestReplay:
         assert cmp_.aggregate_throughput > 0
         assert cmp_.speedup > 0
         assert cmp_.memory_bytes > 0
-        assert 0.0 <= cmp_.cache_hit_rate <= 1.0
 
     def test_comparison_reuses_baseline(self):
         records = generate_trace("hp", 400, seed=1)
@@ -103,7 +102,6 @@ class TestServiceCli:
                     "--shards",
                     "2",
                     "--isolate",
-                    "--per-shard-cache",
                     "--no-predict",
                     "--policy",
                     "range",

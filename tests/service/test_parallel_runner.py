@@ -70,15 +70,16 @@ class TestEquivalence:
         assert owned_lists(service) == expected
         assert report.n_boundary_echoes == 0
 
-    def test_private_caches_thread(self, trace):
-        """shared_sim_cache=False: each shard flushes against its own
-        cache; results still match the sequential service."""
-        cfg = FarmerConfig(n_shards=2, shared_sim_cache=False)
-        expected = owned_lists(ShardedFarmer(cfg).mine(trace[:3000]))
+    def test_thread_f1_count_matches_sequential(self, trace):
+        """Every shard adds to one shared Function-1 counter; under
+        concurrent flushes its increments stay exact, so the
+        service-wide count equals the sequential service's."""
+        cfg = FarmerConfig(n_shards=4)
+        sequential = ShardedFarmer(cfg).mine(trace)
         service = ShardedFarmer(cfg)
-        with ParallelShardRunner(service, n_workers=2) as runner:
-            runner.mine(trace[:3000])
-        assert owned_lists(service) == expected
+        with ParallelShardRunner(service, n_workers=4) as runner:
+            runner.mine(trace)
+        assert service.f1_evaluations() == sequential.f1_evaluations() > 0
 
 
 class TestRunnerContract:
@@ -115,6 +116,28 @@ class TestRunnerContract:
         assert report.throughput > 0
 
 
+class TestProcessDispatch:
+    def test_payloads_slim_vs_whole_shard_pickles(self):
+        """The process backend ships the shared (config, vector store)
+        snapshot once per batch, so per-dispatch payload bytes stay far
+        below whole-shard pickling."""
+        import pickle
+
+        trace = generate_trace("hp", 4_000, seed=47)
+        service = ShardedFarmer(FarmerConfig(max_strength=0.3, n_shards=4))
+        with ParallelShardRunner(
+            service, backend="process", n_workers=2
+        ) as runner:
+            report = runner.mine(trace)
+        assert report.dispatch_bytes > 0
+        assert report.shared_bytes > 0
+        # the old protocol pickled each whole shard Farmer per dispatch
+        # (graph + vector store + vocabulary); the slim payloads must
+        # undercut that by a wide margin
+        whole = sum(len(pickle.dumps(shard)) for shard in service.shards)
+        assert report.dispatch_bytes < whole / 2
+
+
 class TestSharedStoreSafety:
     def test_shared_stores_are_picklable(self):
         """The process backend ships shard snapshots: the lock-bearing
@@ -128,6 +151,31 @@ class TestSharedStoreSafety:
             fids = set(shard.constructor.graph.nodes())
             for fid in fids:
                 assert clone.correlators(fid) == shard.correlators(fid)
+
+    def test_concurrent_f1_counts_are_exact(self):
+        """The shared Function-1 counter loses no increment when more
+        threads than cores add to it under a tiny switch interval."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core.cominer import F1Counter
+
+        counter = F1Counter()
+
+        def add_many(_):
+            for _ in range(5_000):
+                counter.add(3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(add_many, i) for i in range(8)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.stats().evaluations == 8 * 5_000 * 3
 
     def test_concurrent_interning_is_consistent(self):
         """Hammer one ThreadSafeVocabulary from many threads: every

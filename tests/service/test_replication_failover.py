@@ -22,6 +22,7 @@ import pytest
 from repro.core.config import FarmerConfig
 from repro.errors import ConfigError, ReplicationError, ShardFailedError
 from repro.service.sharded import ShardedFarmer
+from repro.traces.synthetic import generate_trace
 from tests.conftest import cached_trace, sequence_records
 
 
@@ -339,3 +340,83 @@ class TestReplicationTransparency:
             plain.observe(record)
         # the standbys are real resident state: strictly more memory
         assert replicated.memory_bytes() > plain.memory_bytes()
+
+
+def owned_fids(service: ShardedFarmer) -> set[int]:
+    out: set[int] = set()
+    for shard in service.shards:
+        out.update(shard.constructor.graph.nodes())
+    return out
+
+
+def query_map(service: ShardedFarmer, fids) -> dict:
+    return {
+        fid: (service.correlators(fid), service.predict(fid))
+        for fid in sorted(fids)
+    }
+
+
+class TestServiceEquivalence:
+    def test_rebalance_and_failover_schedule(self):
+        """The re-rank kernel sits below every migration/replication
+        seam: an identical mine/rebalance/fail/promote schedule on the
+        bulk and entrywise kernels ends in identical query state."""
+        trace = generate_trace("hp", 12_000, seed=41)
+
+        def run(kernel: str) -> ShardedFarmer:
+            service = ShardedFarmer(
+                replicated_config(rerank_kernel=kernel)
+            )
+            service.mine(trace[:6_000])
+            service.rebalance(n_shards=6)
+            service.mine(trace[6_000:10_000])
+            service.sync_standbys()  # zero-lag barrier: lossless failover
+            service.fail_shard(2)
+            service.promote_standby(2)
+            service.mine(trace[10_000:])
+            return service
+
+        entrywise = run("entrywise")
+        bulk = run("bulk")
+        fids = owned_fids(bulk)
+        assert owned_fids(entrywise) == fids
+        assert query_map(entrywise, fids) == query_map(bulk, fids)
+
+
+class TestDeltaSync:
+    def test_delta_path_engages_and_promotes_identically(self):
+        """Steady-state standby barriers ship stats-only nodes as
+        in-place array deltas (``n_delta_syncs``), and a standby built
+        that way still promotes to a bit-identical shard."""
+        trace = generate_trace("hp", 8_000, seed=43)
+        cfg = replicated_config(
+            n_shards=2,
+            standby_sync_interval=100_000,  # explicit barriers only
+        )
+
+        def run(fail: bool) -> ShardedFarmer:
+            service = ShardedFarmer(cfg)
+            service.mine(trace[:6_000])
+            service.sync_standbys()
+            # steady state: mostly re-touches of known files, so most
+            # changed nodes keep their successor membership
+            service.mine(trace[6_000:6_600])
+            report = service.sync_standbys()
+            assert report.n_delta_syncs > 0
+            assert (
+                report.n_delta_syncs + report.n_full_clones
+                == report.n_nodes_shipped
+            )
+            if fail:
+                service.fail_shard(0)
+                service.promote_standby(0)
+            return service
+
+        promoted = run(fail=True)
+        reference = run(fail=False)
+        fids = owned_fids(reference)
+        assert owned_fids(promoted) == fids
+        # the promoted shard 0 was rebuilt from clones *and* in-place
+        # array deltas at a zero-lag barrier: every query must match the
+        # never-failed service bit for bit
+        assert query_map(promoted, fids) == query_map(reference, fids)

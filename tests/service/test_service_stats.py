@@ -1,13 +1,12 @@
 """Aggregated service stats: rollups, dedup'd memory accounting, and the
-public sim-cache stats surface (``Farmer.stats().sim_cache``)."""
+public Function-1 count (``Farmer.stats().f1_evaluations``)."""
 
 import pytest
 
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
-from repro.core.simcache import SimCacheStats
 from repro.service.sharded import ShardedFarmer
-from repro.service.stats import ServiceStats, combine_cache_stats
+from repro.service.stats import ServiceStats
 from repro.traces.synthetic import generate_trace
 from tests.conftest import sequence_records
 
@@ -18,25 +17,6 @@ def mined_service(n_shards=4, n_events=2_000, **cfg) -> ShardedFarmer:
         service.observe(record)
         service.predict(record.fid)
     return service
-
-
-class TestCombineCacheStats:
-    def test_empty(self):
-        combined = combine_cache_stats([])
-        assert combined.lookups == 0
-        assert combined.hit_rate == 0.0
-
-    def test_single_passthrough(self):
-        s = SimCacheStats(hits=3, misses=1, stale=0, evictions=0, size=4, capacity=8)
-        assert combine_cache_stats([s]) is s
-
-    def test_sums_counters(self):
-        a = SimCacheStats(hits=3, misses=1, stale=1, evictions=0, size=4, capacity=8)
-        b = SimCacheStats(hits=1, misses=3, stale=0, evictions=2, size=2, capacity=8)
-        c = combine_cache_stats([a, b])
-        assert (c.hits, c.misses, c.stale, c.evictions) == (4, 4, 1, 2)
-        assert (c.size, c.capacity) == (6, 16)
-        assert c.hit_rate == pytest.approx(0.5)
 
 
 class TestServiceStats:
@@ -56,15 +36,13 @@ class TestServiceStats:
         assert stats.memory_bytes == service.memory_bytes()
         assert stats.memory_megabytes == pytest.approx(stats.memory_bytes / 1e6)
 
-    def test_shared_cache_counted_once(self):
-        """Total memory must not scale the shared cache by n_shards."""
+    def test_shared_stores_counted_once(self):
+        """Total memory must not scale the shared stores by n_shards."""
         service = mined_service()
-        cache_bytes = service.sim_cache.approx_bytes()
         shard_bytes = sum(s.memory_bytes() for s in service.shards)
         expected = (
             service.vocabulary.approx_bytes()
             + service.vector_store.approx_bytes()
-            + cache_bytes
             + shard_bytes
         )
         assert service.memory_bytes() == expected
@@ -72,18 +50,13 @@ class TestServiceStats:
         for shard in service.shards:
             assert not shard.owns_vocabulary
             assert not shard.constructor.owns_vectors
-            assert not shard.miner.owns_sim_cache
 
-    def test_per_shard_cache_stats_summed(self):
-        service = mined_service(shared_sim_cache=False)
-        stats = service.stats()
-        per_shard = [s.sim_cache_stats() for s in service.shards]
-        assert stats.sim_cache.lookups == sum(s.lookups for s in per_shard)
-        assert stats.sim_cache.hits == sum(s.hits for s in per_shard)
-
-    def test_shared_cache_stats_are_service_wide(self):
+    def test_shared_f1_counter_is_service_wide(self):
         service = mined_service()
-        assert service.stats().sim_cache == service.sim_cache.stats()
+        for shard in service.shards:
+            assert shard.miner.sim_cache is service.sim_cache
+        stats = service.stats()  # flushes, so it evaluates too
+        assert stats.f1_evaluations == service.sim_cache.stats().evaluations > 0
 
 
 class TestEchoAccountingFields:
@@ -138,19 +111,15 @@ class TestEchoAccountingFields:
 
 
 class TestFarmerStatsSurface:
-    def test_stats_exposes_sim_cache(self):
-        """Satellite: benchmarks/experiments read cache counters off
-        ``Farmer.stats()`` / ``Farmer.sim_cache_stats()`` rather than
-        ``farmer.miner.sim_cache`` internals."""
+    def test_stats_expose_f1_evaluations(self):
+        """Benchmarks/experiments read the Function-1 count off
+        ``Farmer.stats()`` / ``Farmer.f1_evaluations()`` rather than
+        ``farmer.miner`` internals."""
         farmer = Farmer(FarmerConfig(max_strength=0.0))
         for record in generate_trace("hp", 500, seed=1):
             farmer.observe(record)
             farmer.predict(record.fid)
         stats = farmer.stats()
-        assert isinstance(stats.sim_cache, SimCacheStats)
-        assert stats.sim_cache.lookups > 0
-        assert farmer.sim_cache_stats() == farmer.miner.sim_cache_stats()
-
-    def test_disabled_cache_reports_zero_capacity(self):
-        farmer = Farmer(FarmerConfig(sim_cache_capacity=0))
-        assert farmer.stats().sim_cache.capacity == 0
+        assert stats.f1_evaluations > 0
+        assert farmer.f1_evaluations() == stats.f1_evaluations
+        assert farmer.miner.sim_cache.stats().lookups == stats.f1_evaluations

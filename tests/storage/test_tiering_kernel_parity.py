@@ -1,7 +1,7 @@
 """Satellite property: tiering metrics are rerank-kernel-invariant.
 
-The three re-rank kernels (bulk one-pass, entrywise reference,
-vectorized array) produce bit-identical Correlator Lists; this suite
+The two re-rank kernels (bulk one-pass, entrywise reference) produce
+bit-identical Correlator Lists; this suite
 asserts the consequence at the placement layer — the full tiered
 ``SimulationReport`` (fast hits, promotions, hint traffic, latency
 percentiles) is identical whichever kernel mined the correlators that
@@ -24,15 +24,7 @@ from repro.storage.prefetch import ShardedFarmerPrefetcher
 EVENTS = 1200
 
 
-def _kernels() -> list[str]:
-    kernels = ["bulk", "entrywise"]
-    try:
-        import numpy  # noqa: F401
-
-        kernels.append("array")
-    except ImportError:
-        pass
-    return kernels
+KERNELS = ("bulk", "entrywise")
 
 
 def _report(records, kernel: str):
@@ -57,18 +49,8 @@ def test_tiered_report_identical_across_kernels(workload):
         # each kernel keeps different scratch structures, so the
         # footprint differs; every behavioural metric must not
         replace(_report(records, kernel), miner_memory_bytes=0)
-        for kernel in _kernels()
+        for kernel in KERNELS
     ]
     first = reports[0]
     for other in reports[1:]:
         assert other == first  # exact equality: kernels are bit-identical
-
-
-def test_array_kernel_present_when_numpy_is():
-    """Wherever numpy exists the parity run above must cover all three
-    kernels — guard against silently testing two."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pytest.skip("no numpy: two-kernel leg")
-    assert _kernels() == ["bulk", "entrywise", "array"]

@@ -3,7 +3,12 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.vsm.similarity import directory_similarity, dpa_similarity, ipa_similarity
+from repro.vsm.similarity import (
+    directory_similarity,
+    dpa_similarity,
+    ipa_similarity,
+    similarity_row,
+)
 from repro.vsm.vector import SemanticVector, bag_intersection
 
 ids = st.integers(min_value=0, max_value=40)
@@ -51,6 +56,21 @@ class TestSimilarityProperties:
         if v.n_items("dpa") > 0:
             assert dpa_similarity(v, v) == 1.0
             assert ipa_similarity(v, v) == 1.0
+
+    @given(
+        vectors,
+        st.lists(vectors, max_size=6),
+        st.sampled_from(["ipa", "dpa"]),
+        st.sampled_from(["bag", "prefix"]),
+    )
+    def test_row_matches_per_pair(self, a, bs, method, path_mode):
+        """The row form (source side resolved once) is bit-identical to
+        the per-pair functions, for every method and path mode."""
+        per_pair = [
+            ipa_similarity(a, b, path_mode) if method == "ipa" else dpa_similarity(a, b)
+            for b in bs
+        ]
+        assert similarity_row(a, bs, method, path_mode) == per_pair
 
     @given(path_tuples, path_tuples)
     def test_directory_similarity_bounds(self, a, b):

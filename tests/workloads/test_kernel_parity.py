@@ -1,8 +1,7 @@
 """Satellite property: mining accuracy is kernel-invariant.
 
-The three re-rank kernels (bulk one-pass, entrywise reference,
-vectorized array) are bit-identical on the ranked lists by
-construction; this suite asserts the consequence that matters to the
+The two re-rank kernels (bulk one-pass, entrywise reference) are
+bit-identical on the ranked lists by construction; this suite asserts the consequence that matters to the
 evaluation layer — identical precision/recall/headroom on every
 planted-truth scenario — so a kernel divergence surfaces as an
 accuracy diff, not only as a list-order diff in the kernel suites.
@@ -18,22 +17,14 @@ from repro.workloads import SCENARIO_NAMES, mine_scenario, score_miner
 EVENTS = 2000
 
 
-def _kernels() -> list[str]:
-    kernels = ["bulk", "entrywise"]
-    try:
-        import numpy  # noqa: F401
-
-        kernels.append("array")
-    except ImportError:
-        pass
-    return kernels
+KERNELS = ("bulk", "entrywise")
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_precision_recall_identical_across_kernels(name, scenario_trace):
     records, truth = scenario_trace(name, EVENTS)
     reports = []
-    for kernel in _kernels():
+    for kernel in KERNELS:
         miner = mine_scenario(records, FarmerConfig(rerank_kernel=kernel))
         reports.append(
             score_miner(miner, truth, records, scenario=name)
@@ -41,13 +32,3 @@ def test_precision_recall_identical_across_kernels(name, scenario_trace):
     first = reports[0]
     for other in reports[1:]:
         assert other == first  # exact equality: kernels are bit-identical
-
-
-def test_array_kernel_present_when_numpy_is():
-    """The parity run above must really cover three kernels wherever
-    numpy exists — guard against silently testing two."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pytest.skip("no numpy: two-kernel leg")
-    assert _kernels() == ["bulk", "entrywise", "array"]
