@@ -1,18 +1,11 @@
 """Benchmarks of the sharded mining service (`repro.service`).
 
-Two families:
-
-* **Modeled** per-core concurrency (the original mode): each shard's
-  substream replayed sequentially; service wall time = slowest shard.
-  These numbers are per-core mining throughput, the quantity that scales
-  with one miner shard per metadata server.
-* **Executed** wall clock: :class:`~repro.service.runner.
-  ParallelShardRunner` actually runs the shards on a thread or process
-  pool and the number reported is real elapsed time. On a single-core
-  CI container the parallel backends show executor overhead rather than
-  speedup — the asserted property is output equivalence, and the
-  measured timings land in ``BENCH_service.json`` so multi-core runs
-  are comparable across PRs.
+Every number here is measured on one thread: the shards of a
+:class:`~repro.service.sharded.ShardedFarmer` run in one process, and
+the end-to-end timings of the service live in ``perfbench/``. These
+benches time individual service mechanisms (batch mine, routed
+prefetch, rebalance, failover, standby sync, online ingest, snapshot
+restore, tiering) and assert their output properties.
 
 Run with::
 
@@ -22,109 +15,13 @@ Run with::
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
-from repro.service.harness import (
-    compare_parallel_mine,
-    compare_single_vs_sharded,
-    replay_single,
-)
-from repro.service.runner import ParallelShardRunner
 from repro.service.sharded import ShardedFarmer
 from repro.storage.cluster import SimulationConfig, run_simulation
 from repro.storage.prefetch import ShardedFarmerPrefetcher
 
 BASE = FarmerConfig()
-
-
-def _report(cmp_) -> None:
-    per_shard = ", ".join(
-        f"s{t.shard}:{t.n_records}r/{t.elapsed_s * 1e3:.0f}ms" for t in cmp_.timings
-    )
-    print(
-        f"\n[{cmp_.n_shards} shards: aggregate {cmp_.aggregate_throughput:,.0f} req/s "
-        f"vs single {cmp_.single_throughput:,.0f} req/s = {cmp_.speedup:.2f}x; "
-        f"{cmp_.n_boundary_echoes} echoes]"
-        f"\n[per-shard: {per_shard}]"
-    )
-
-
-@pytest.mark.parametrize("n_shards", [2, 4, 8])
-def bench_service_observe_predict_scaling(
-    benchmark, hp_bench_trace, bench_record, n_shards
-):
-    """Single-miner vs N-shard observe+predict throughput (FPA loop).
-
-    The benchmark times the sequential replay of every substream; the
-    printed aggregate models the shards running concurrently. The
-    4-shard configuration is the acceptance point: aggregate throughput
-    must be at least 2x the single-miner baseline.
-    """
-    single_s = replay_single(Farmer(BASE), hp_bench_trace, predict=True)
-
-    def sharded():
-        return compare_single_vs_sharded(
-            hp_bench_trace,
-            BASE.with_(n_shards=n_shards),
-            predict=True,
-            single_elapsed_s=single_s,
-        )
-
-    cmp_ = benchmark.pedantic(sharded, rounds=2, iterations=1)
-    _report(cmp_)
-    assert cmp_.n_records == len(hp_bench_trace)
-    bench_record(
-        modeled_speedup=cmp_.speedup,
-        aggregate_records_per_s=cmp_.aggregate_throughput,
-        single_records_per_s=cmp_.single_throughput,
-        n_boundary_echoes=cmp_.n_boundary_echoes,
-    )
-    if n_shards == 4:
-        assert cmp_.speedup >= 2.0, (
-            f"4-shard aggregate throughput only {cmp_.speedup:.2f}x the "
-            f"single-miner baseline (acceptance floor is 2x)"
-        )
-
-
-def bench_service_observe_only_4shards(benchmark, hp_bench_trace, bench_record):
-    """Pure mining throughput (no per-request predict), 4 shards."""
-    single_s = replay_single(Farmer(BASE), hp_bench_trace, predict=False)
-
-    def sharded():
-        return compare_single_vs_sharded(
-            hp_bench_trace,
-            BASE.with_(n_shards=4),
-            predict=False,
-            single_elapsed_s=single_s,
-        )
-
-    cmp_ = benchmark.pedantic(sharded, rounds=2, iterations=1)
-    _report(cmp_)
-    assert cmp_.n_records == len(hp_bench_trace)
-    bench_record(
-        modeled_speedup=cmp_.speedup,
-        aggregate_records_per_s=cmp_.aggregate_throughput,
-    )
-
-
-def bench_service_strict_isolation_4shards(benchmark, hp_bench_trace, bench_record):
-    """Upper bound: no boundary echoes (cross_shard_edges=False)."""
-    single_s = replay_single(Farmer(BASE), hp_bench_trace, predict=True)
-
-    def sharded():
-        return compare_single_vs_sharded(
-            hp_bench_trace,
-            BASE.with_(n_shards=4, cross_shard_edges=False),
-            predict=True,
-            single_elapsed_s=single_s,
-        )
-
-    cmp_ = benchmark.pedantic(sharded, rounds=2, iterations=1)
-    _report(cmp_)
-    assert cmp_.n_boundary_echoes == 0
-    bench_record(modeled_speedup=cmp_.speedup)
 
 
 def bench_vector_freeze_f1_evaluations(benchmark, hp_bench_trace, bench_record):
@@ -167,65 +64,6 @@ def bench_sharded_batch_mine_4shards(benchmark, hp_bench_trace, bench_record):
         us_per_request=per_req_us,
         records_per_s=len(hp_bench_trace) / benchmark.stats["mean"],
         rerank=asdict(service.stats().rerank),
-    )
-
-
-def _owned_lists(service: ShardedFarmer):
-    out = {}
-    for index, shard in enumerate(service.shards):
-        service.flush_shard(index)
-        for fid, lst in shard.miner.lists().items():
-            if len(lst) and service.shard_of(fid) == index:
-                out[fid] = [(e.fid, e.degree) for e in lst.entries()]
-    return out
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def bench_parallel_mine(benchmark, hp_bench_trace, bench_record, backend):
-    """Executed-parallel batch mine, wall clock (not modeled).
-
-    Asserts the runner's mined lists equal the sequential
-    ``ShardedFarmer.mine`` bit-for-bit, then reports measured elapsed
-    time per phase. ``n_workers=2`` matches the CI smoke configuration.
-    """
-    cfg = BASE.with_(n_shards=4)
-    expected = _owned_lists(ShardedFarmer(cfg).mine(hp_bench_trace))
-
-    def parallel():
-        service = ShardedFarmer(cfg)
-        with ParallelShardRunner(service, n_workers=2, backend=backend) as r:
-            report = r.mine(hp_bench_trace)
-        return service, report
-
-    service, report = benchmark.pedantic(parallel, rounds=2, iterations=1)
-    assert _owned_lists(service) == expected
-    assert report.n_records == len(hp_bench_trace)
-    print(
-        f"\n[{backend} x2 workers: {report.throughput:,.0f} rec/s wall-clock; "
-        f"partition {report.partition_s * 1e3:.0f}ms, "
-        f"ingest {report.ingest_s * 1e3:.0f}ms, "
-        f"flush {report.flush_s * 1e3:.0f}ms]"
-    )
-    if backend == "process":
-        # the shared-snapshot protocol: per-dispatch payloads (token +
-        # touched nodes + fids) must stay far below shipping the whole
-        # shard (graph + vector store + vocabulary) per dispatch
-        assert 0 < report.dispatch_bytes
-        assert 0 < report.shared_bytes
-        print(
-            f"[process dispatch: {report.dispatch_bytes:,} payload bytes + "
-            f"{report.shared_bytes:,} once-per-batch snapshot bytes]"
-        )
-    bench_record(
-        wall_clock_records_per_s=report.throughput,
-        partition_s=report.partition_s,
-        ingest_s=report.ingest_s,
-        flush_s=report.flush_s,
-        elapsed_s=report.elapsed_s,
-        n_workers=report.n_workers,
-        dispatch_bytes=report.dispatch_bytes,
-        shared_bytes=report.shared_bytes,
-        lists_equal_sequential=True,
     )
 
 
@@ -567,49 +405,6 @@ def bench_snapshot_restore(benchmark, hp_bench_trace, bench_record, tmp_path):
         replay_records_per_s=replay_rate,
         replay_records=recovery.wal_replayed,
         recovery_elapsed_s=recovery.elapsed_s,
-    )
-
-
-def bench_parallel_vs_sequential_wall_clock(
-    benchmark, hp_bench_trace, bench_record
-):
-    """The full wall-clock comparison (single miner, sequential sharded,
-    thread and process runners) — the numbers BENCH_service.json keeps
-    for the perf trajectory."""
-
-    def compare():
-        return compare_parallel_mine(
-            hp_bench_trace,
-            BASE.with_(n_shards=4),
-            n_workers=2,
-            backends=("thread", "process"),
-        )
-
-    cmp_ = benchmark.pedantic(compare, rounds=2, iterations=1)
-    assert cmp_.n_records == len(hp_bench_trace)
-    lines = [
-        f"{run.backend}: {run.elapsed_s * 1e3:.0f}ms "
-        f"({cmp_.speedup_vs_sequential(run):.2f}x vs sequential)"
-        for run in cmp_.runs
-    ]
-    print(
-        f"\n[wall clock: single {cmp_.single_mine_s * 1e3:.0f}ms, "
-        f"sequential sharded {cmp_.sequential_mine_s * 1e3:.0f}ms, "
-        + ", ".join(lines)
-        + "]"
-    )
-    bench_record(
-        single_mine_s=cmp_.single_mine_s,
-        sequential_mine_s=cmp_.sequential_mine_s,
-        **{
-            f"{run.backend}_elapsed_s": run.elapsed_s for run in cmp_.runs
-        },
-        **{
-            f"{run.backend}_speedup_vs_sequential": cmp_.speedup_vs_sequential(
-                run
-            )
-            for run in cmp_.runs
-        },
     )
 
 

@@ -16,15 +16,14 @@ Usage::
     farmer-repro storage pipeline --tiering all --json
 
 or equivalently ``python -m repro ...``. The ``service`` subcommand
-measures the sharded mining service against the single-miner baseline
-(aggregate throughput modeled as records over the slowest shard's
-replay — see :mod:`repro.service.harness`), and can additionally
-demonstrate shard rebalancing (``--rebalance``) and the cluster-routed
-prefetch path (``--mds`` / ``--routed-prefetch``). The ``serve``
-subcommand runs the *online* ingestion service instead: trace-tailing
-or replay agents in front of a bounded admission queue, a consumer
-draining into the shards, and an HTTP query/admin API with live
-telemetry (:mod:`repro.online`).
+times the live observe/predict loop of one miner and of the sharded
+mining service on one thread (measured wall clock per shard count),
+and can additionally demonstrate shard rebalancing (``--rebalance``)
+and the cluster-routed prefetch path (``--mds`` /
+``--routed-prefetch``). The ``serve`` subcommand runs the *online*
+ingestion service instead: trace-tailing or replay agents in front of a
+bounded admission queue, a consumer draining into the shards, and an
+HTTP query/admin API with live telemetry (:mod:`repro.online`).
 """
 
 from __future__ import annotations
@@ -189,25 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-predict",
         action="store_true",
         help="time observe() only (skip the per-request FPA predict)",
-    )
-    svc_p.add_argument(
-        "--parallel",
-        type=str,
-        default=None,
-        metavar="BACKENDS",
-        help=(
-            "also run the executed-parallel batch-mine wall-clock mode on "
-            "these comma-separated backends (thread,process). Note: on a "
-            "machine with fewer cores than workers (e.g. a 1-core CI "
-            "container) the measured numbers show executor overhead, not "
-            "speedup — see docs/benchmarks.md"
-        ),
-    )
-    svc_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for --parallel (default: min(shards, cores))",
     )
 
     wl_p = sub.add_parser(
@@ -478,10 +458,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _time_live_loop(miner, records, predict: bool) -> float:
+    """Wall seconds of the live loop on one thread: ``observe`` each
+    record, ``predict`` it when asked, then ``snapshot()`` (so deferred
+    re-rank work is inside the timing)."""
+    start = time.perf_counter()
+    for record in records:
+        miner.observe(record)
+        if predict:
+            miner.predict(record.fid)
+    miner.snapshot()
+    return time.perf_counter() - start
+
+
 def _run_service(args: argparse.Namespace) -> int:
     from repro.core.farmer import Farmer
     from repro.experiments.common import farmer_config_for
-    from repro.service.harness import compare_single_vs_sharded, replay_single
+    from repro.service.sharded import ShardedFarmer
     from repro.traces.synthetic import generate_trace
 
     policy = args.router or args.policy or "hash"
@@ -503,61 +496,43 @@ def _run_service(args: argparse.Namespace) -> int:
     records = generate_trace(args.trace, args.events, seed=args.seed)
     predict = not args.no_predict
     mode = "observe+predict" if predict else "observe"
-    single_s = replay_single(Farmer(base), records, predict=predict)
-    rows = [
-        (
-            "1 (baseline)",
-            len(records),
-            0,
-            f"{single_s:.2f}",
-            f"{len(records) / single_s:,.0f}",
-            "1.00x",
-        )
-    ]
-    for n_shards in (int(s) for s in args.shards.split(",") if s):
+    shard_counts = [int(s) for s in args.shards.split(",") if s]
+    rows = []
+    base_rate = None
+    for n_shards in dict.fromkeys([1, *shard_counts]):
         if n_shards == 1:
-            continue
-        cmp_ = compare_single_vs_sharded(
-            records,
-            base.with_(n_shards=n_shards),
-            predict=predict,
-            single_elapsed_s=single_s,
-        )
+            miner = Farmer(base)
+        else:
+            miner = ShardedFarmer(base.with_(n_shards=n_shards))
+        elapsed = _time_live_loop(miner, records, predict)
+        rate = miner.n_observed / elapsed
+        if base_rate is None:
+            base_rate = rate
+        echoes = miner.n_boundary_echoes if n_shards > 1 else 0
         rows.append(
             (
-                str(n_shards),
-                cmp_.n_records,
-                cmp_.n_boundary_echoes,
-                f"{cmp_.critical_path_s:.2f}",
-                f"{cmp_.aggregate_throughput:,.0f}",
-                f"{cmp_.speedup:.2f}x",
+                n_shards,
+                miner.n_observed,
+                echoes,
+                f"{elapsed:.2f}",
+                f"{rate:,.0f}",
+                f"{rate / base_rate:.2f}x" if base_rate else "-",
             )
         )
     print(
         f"sharded mining service on '{args.trace}' x{args.events} "
         f"(router={policy}, cross_shard_edges={not args.isolate}, "
         f"freeze={args.freeze}, echo_interval={args.echo_interval}, "
-        f"mode={mode})"
+        f"mode={mode}; measured wall clock, one thread)"
     )
     print(
         format_table(
-            (
-                "shards",
-                "records",
-                "echoes",
-                "critical path s",
-                f"{mode}/s",
-                "speedup",
-            ),
+            ("shards", "records", "echoes", "wall s", f"{mode}/s", "vs 1 shard"),
             rows,
         )
     )
     if args.rebalance is not None:
-        from repro.service.sharded import ShardedFarmer
-
-        n_before = max(
-            (int(s) for s in args.shards.split(",") if s), default=4
-        )
+        n_before = max(shard_counts, default=4)
         service = ShardedFarmer(base.with_(n_shards=n_before)).mine(records)
         report = service.rebalance(args.rebalance)
         print(
@@ -568,10 +543,8 @@ def _run_service(args: argparse.Namespace) -> int:
             f"— only owner-changed fids move; nothing is re-mined"
         )
     if args.fail_shard is not None or args.auto_rebalance:
-        from repro.service.sharded import ShardedFarmer
-
-        n_svc = max((int(s) for s in args.shards.split(",") if s), default=4)
-        n_svc = max(n_svc, 2)  # failover/rebalance need a real partition
+        # failover/rebalance need a real partition
+        n_svc = max(max(shard_counts, default=4), 2)
         service = ShardedFarmer(base.with_(n_shards=n_svc)).mine(records)
         if args.fail_shard is not None:
             index = args.fail_shard % n_svc
@@ -607,7 +580,6 @@ def _run_service(args: argparse.Namespace) -> int:
                 f"{auto.rebalance.elapsed_s * 1e3:.1f}ms"
             )
     if args.mds is not None:
-        from repro.service.sharded import ShardedFarmer
         from repro.storage.cluster import SimulationConfig, run_simulation
         from repro.storage.prefetch import ShardedFarmerPrefetcher
 
@@ -657,65 +629,6 @@ def _run_service(args: argparse.Namespace) -> int:
                     "mean resp us",
                 ),
                 cluster_rows,
-            )
-        )
-    if args.parallel:
-        import os
-
-        from repro.service.harness import compare_parallel_mine
-
-        backends = tuple(b for b in args.parallel.split(",") if b)
-        wall_rows = []
-        single_mine_s = None  # measured once; independent of n_shards
-        for n_shards in (int(s) for s in args.shards.split(",") if s):
-            if n_shards == 1:
-                continue
-            cmp_ = compare_parallel_mine(
-                records,
-                base.with_(n_shards=n_shards),
-                n_workers=args.workers,
-                backends=backends,
-                single_mine_s=single_mine_s,
-            )
-            single_mine_s = cmp_.single_mine_s
-            for run in cmp_.runs:
-                wall_rows.append(
-                    (
-                        str(n_shards),
-                        run.backend,
-                        run.n_workers,
-                        f"{cmp_.single_mine_s:.2f}",
-                        f"{cmp_.sequential_mine_s:.2f}",
-                        f"{run.elapsed_s:.2f}",
-                        f"{run.throughput:,.0f}",
-                        f"{cmp_.speedup_vs_sequential(run):.2f}x",
-                    )
-                )
-        print(
-            "\nexecuted-parallel batch mine (wall clock, not modeled; "
-            "sequential = ShardedFarmer.mine on one thread)"
-        )
-        cores = os.cpu_count() or 1
-        if args.workers is not None and cores < args.workers:
-            print(
-                f"note: this machine has {cores} core(s) for "
-                f"{args.workers} requested workers — the parallel numbers "
-                f"below measure executor overhead, not speedup (see "
-                f"docs/benchmarks.md)"
-            )
-        print(
-            format_table(
-                (
-                    "shards",
-                    "backend",
-                    "workers",
-                    "single s",
-                    "sequential s",
-                    "parallel s",
-                    "mine/s",
-                    "speedup",
-                ),
-                wall_rows,
             )
         )
     return 0

@@ -86,7 +86,6 @@ capacity cut.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.core.config import FarmerConfig
@@ -123,31 +122,22 @@ class F1Counter:
     """Counts Function-1 evaluations.
 
     A :class:`~repro.service.ShardedFarmer` injects one counter into
-    every shard (and standby), so increments take a lock: shards run
-    on threads under ``ParallelShardRunner`` and their sum stays exact.
+    every shard (and standby), so the service-wide count needs no
+    summing.
     """
 
-    __slots__ = ("_n", "_lock")
+    __slots__ = ("_n",)
 
     def __init__(self) -> None:
         self._n = 0
-        self._lock = threading.Lock()
 
     def add(self, n: int) -> None:
         """Record ``n`` more evaluations."""
-        with self._lock:
-            self._n += n
+        self._n += n
 
     def stats(self) -> F1Stats:
         """Snapshot of the count."""
         return F1Stats(self._n)
-
-    def __getstate__(self):
-        return (self._n,)
-
-    def __setstate__(self, state) -> None:
-        self._n = state[0]
-        self._lock = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -557,14 +547,10 @@ class CoMiner:
         self.flush_nodes(self.constructor.graph.nodes())
         self._dirty.clear()
 
-    # ------------------------------------------------------------------
-    # parallel-runner seam
-    # ------------------------------------------------------------------
-
     def flush_nodes_report(self, fids) -> dict[int, CorrelatorList]:
         """:meth:`flush_nodes` that also returns the re-ranked lists —
-        the process-backend worker entry point: the worker flushes a
-        pickled snapshot and ships exactly the lists it rebuilt back."""
+        the shard rebalance and standby sync ship exactly the lists it
+        rebuilt."""
         graph = self.constructor.graph
         ranked = self._ranked_tick
         out: dict[int, CorrelatorList] = {}
@@ -574,22 +560,6 @@ class CoMiner:
             else:
                 self._dirty.discard(fid)
         return out
-
-    def adopt_ranked(self, lists: dict[int, CorrelatorList], fids) -> None:
-        """Install lists re-ranked elsewhere (a process worker) as if
-        :meth:`flush_nodes` over ``fids`` had run here: lists replaced,
-        dirty flags cleared, ranked ticks stamped at the current graph
-        state. The worker's stamp side-state stays behind — stamps
-        are validated against live inputs, so losing them costs a
-        recomputation, never correctness."""
-        graph = self.constructor.graph
-        for fid, lst in lists.items():
-            self._lists[fid] = lst
-            self._edge_log.pop(fid, None)
-            self._ranked_tick[fid] = graph.change_tick(fid)
-            self._ranked_epoch.pop(fid, None)
-        for fid in fids:
-            self._dirty.discard(fid)
 
     # ------------------------------------------------------------------
     # migration (the shard-rebalancing seam)

@@ -39,7 +39,6 @@ large reduction in Function-1 recomputation.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 from repro.core.config import FarmerConfig
@@ -48,7 +47,7 @@ from repro.traces.record import TraceRecord, attribute_getter
 from repro.vsm.path import tokenize_path
 from repro.vsm.vector import SemanticVector
 
-__all__ = ["VectorStore", "ThreadSafeVectorStore"]
+__all__ = ["VectorStore"]
 
 
 class _MergeState:
@@ -309,42 +308,11 @@ class VectorStore:
         return total
 
 
-class ThreadSafeVectorStore(VectorStore):
-    """A :class:`VectorStore` whose writes are safe under parallel ingest.
-
-    The sharded service routes every record to its fid's owner shard and
-    the echo path skips vector updates, so concurrent shards write
-    *disjoint* fid keys — the lock's job is to serialise the underlying
-    dict/merge-state mutations, not to arbitrate per-fid races (there are
-    none by construction). Reads (``get`` / ``version_of`` /
-    ``resolve``) stay lock-free: they are single dict lookups, and the
-    parallel runner's flush phase only runs after an ingest barrier, so
-    flush-time reads never race a write.
-
-    Instances are picklable (the process-backend runner ships a snapshot
-    to each worker); the lock is recreated on unpickle.
-    """
-
-    def __init__(self, config: FarmerConfig, extractor: Extractor) -> None:
-        super().__init__(config, extractor)
-        self._lock = threading.Lock()
-
-    def update(self, record: TraceRecord) -> None:
-        with self._lock:
-            super().update(record)
-
-    def update_batch(self, records) -> None:
-        with self._lock:
-            super().update_batch(records)
-
-    def approx_bytes(self) -> int:
-        with self._lock:
-            return super().approx_bytes()
-
     def __getstate__(self):
+        # the attribute getters are lambdas, which do not pickle; they
+        # are re-resolved from the attribute names on load
         state = self.__dict__.copy()
-        del state["_lock"]
-        del state["_getters"]  # lambdas; re-resolved from attr names
+        del state["_getters"]
         return state
 
     def __setstate__(self, state) -> None:
@@ -352,4 +320,3 @@ class ThreadSafeVectorStore(VectorStore):
         self._getters = tuple(
             (attr, attribute_getter(attr)) for attr in self._scalar_attrs
         )
-        self._lock = threading.Lock()

@@ -101,9 +101,22 @@ class _ExternalizingPickler(pickle.Pickler):
 class _ResolvingUnpickler(pickle.Unpickler):
     """Unpickler that resolves persistent IDs to live shared objects."""
 
-    def __init__(self, file, resolve: dict[str, object]) -> None:
+    def __init__(self, file, resolve: dict[str, object], path: Path) -> None:
         super().__init__(file)
         self._resolve = resolve
+        self._path = path
+
+    def find_class(self, module, name):
+        """The class a blob names; one this version lacks is a mismatch."""
+        try:
+            return super().find_class(module, name)
+        except (ImportError, AttributeError):
+            raise SnapshotMismatchError(
+                f"snapshot file {self._path} pickles class {module}.{name}, "
+                f"which this version of the program does not have — the "
+                f"snapshot was written by another version; restore it with "
+                f"that version or discard the data directory"
+            ) from None
 
     def persistent_load(self, pid):
         """The live shared object a snapshot token refers to."""
@@ -127,7 +140,22 @@ def _dump(path: Path, obj, external: dict[int, str]) -> dict:
 
 def _load(path: Path, resolve: dict[str, object]):
     with open(path, "rb") as fh:
-        return _ResolvingUnpickler(fh, resolve).load()
+        try:
+            return _ResolvingUnpickler(fh, resolve, path).load()
+        except (
+            AttributeError,
+            KeyError,
+            TypeError,
+            pickle.UnpicklingError,
+        ) as exc:
+            # the bytes passed their CRC check, so a failure to rebuild
+            # an object means its class changed shape since the write
+            raise SnapshotMismatchError(
+                f"snapshot file {path} holds an object whose pickled state "
+                f"does not fit its class in this version ({exc!r}); restore "
+                f"it with the version that wrote it or discard the data "
+                f"directory"
+            ) from exc
 
 
 def _fsync_dir(path: Path) -> None:
@@ -331,6 +359,11 @@ def load_snapshot(path: str | Path) -> ShardedFarmer:
     blob resolve their persistent IDs against them, so the restored
     service shares its stores across shards by identity exactly as the
     captured one did (standby replicas included).
+
+    Raises:
+        SnapshotMismatchError: when a blob names a class this version
+            does not have, or one whose pickled state no longer fits
+            (a snapshot written by another version of the program).
     """
     path = Path(path)
     manifest = read_manifest(path)

@@ -95,12 +95,15 @@ class WalCorruptError(PersistenceError):
 
 
 class SnapshotMismatchError(PersistenceError):
-    """A snapshot manifest disagrees with the booting configuration.
+    """A snapshot disagrees with the booting configuration or program.
 
     Restoring a snapshot into a service with a different shard count,
     router or kernel would serve answers from a topology that never
     existed; recovery refuses and names the differing fields so the
     operator can boot with the matching flags (or discard the data dir).
+    A snapshot whose pickles name a class this version lacks (or whose
+    state no longer fits its class) is refused the same way, naming the
+    file and the class.
     """
 
 

@@ -185,8 +185,8 @@ class NodeState:
         new._slots = self._slots.copy()
         return new
 
-    # explicit pickle support: __slots__ classes have no __dict__, and the
-    # process-backend runner ships nodes to its workers per dispatch
+    # explicit pickle support: __slots__ classes have no __dict__, and
+    # durable snapshots pickle every node
     def __getstate__(self):
         return (
             self.access_count,

@@ -35,9 +35,9 @@ lock story is coarse and honest: every touch of the sharded miner —
 a consumer draining a batch, a ``predict``, an admin ``rebalance`` —
 holds the same RLock, so queries are served *between* batches while
 mining continues, and the existing single-writer invariants of the
-service layer hold unchanged. (Intra-batch shard parallelism stays the
-:class:`~repro.service.runner.ParallelShardRunner` seam; this layer
-serialises at batch granularity.)
+service layer hold unchanged. This lock is the only synchronisation
+the miner has: its shared vocabulary, vector store and Function-1
+counter are plain objects.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ miner shards behind a deterministic router, sharing the vocabulary, the
 vector store and a Function-1 evaluation counter.
 This is the architectural seam for scaling the miner alongside the
 metadata servers: shard *i* co-locates with MDS *i* in the cluster
-simulator, and :class:`ParallelShardRunner` executes the shards on real
-threads or processes (the shared stores are lock-protected for exactly
-this). With ``FarmerConfig.replication=True`` each primary keeps a warm
+simulator. The shards run in one process on the caller's thread; the
+online plane (:mod:`repro.online`) serialises concurrent callers.
+With ``FarmerConfig.replication=True`` each primary keeps a warm
 standby (:mod:`repro.service.replication`) and ``fail_shard`` /
 ``promote_standby`` make shard failover a first-class operation;
 ``auto_rebalance`` feeds observed shard load back into consistent-hash
@@ -15,15 +15,6 @@ ring weights. Every future scaling step plugs in behind the same
 façade.
 """
 
-from repro.service.harness import (
-    ServiceComparison,
-    ShardTiming,
-    WallClockComparison,
-    compare_parallel_mine,
-    compare_single_vs_sharded,
-    replay_sharded,
-    replay_single,
-)
 from repro.service.router import (
     ConsistentHashRouter,
     HashShardRouter,
@@ -37,7 +28,6 @@ from repro.service.replication import (
     ShardReplicator,
     StandbySyncReport,
 )
-from repro.service.runner import ParallelMineReport, ParallelShardRunner
 from repro.service.sharded import (
     AutoRebalanceReport,
     RebalanceReport,
@@ -50,13 +40,6 @@ from repro.service.stats import (
 )
 
 __all__ = [
-    "ServiceComparison",
-    "ShardTiming",
-    "WallClockComparison",
-    "compare_parallel_mine",
-    "compare_single_vs_sharded",
-    "replay_sharded",
-    "replay_single",
     "ConsistentHashRouter",
     "HashShardRouter",
     "RangeShardRouter",
@@ -66,8 +49,6 @@ __all__ = [
     "ShardReplica",
     "ShardReplicator",
     "StandbySyncReport",
-    "ParallelMineReport",
-    "ParallelShardRunner",
     "AutoRebalanceReport",
     "RebalanceReport",
     "ShardedFarmer",

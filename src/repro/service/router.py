@@ -24,7 +24,7 @@ file. Three policies ship:
 The ring hashes with a seeded SplitMix64 finalizer rather than Python's
 ``hash`` so virtual-node placement is identical across processes and
 interpreter runs regardless of ``PYTHONHASHSEED`` — a requirement for
-the process-backend runner and for clients that route independently.
+restoring a durable snapshot and for clients that route independently.
 
 :func:`make_router` builds a router from the ``FarmerConfig`` knobs.
 """

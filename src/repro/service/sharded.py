@@ -5,9 +5,9 @@ servers, but a single :class:`~repro.core.farmer.Farmer` still funnels
 every server through one miner. :class:`ShardedFarmer` removes that
 serial bottleneck: it partitions the fid namespace across ``n_shards``
 independent Farmer shards behind a deterministic
-:mod:`~repro.service.router`, so each shard mines only its own files and
-N shards can run concurrently (one per metadata server in the cluster
-simulator, one per process in a real deployment).
+:mod:`~repro.service.router`, so each shard mines only its own files
+(one shard per metadata server in the cluster simulator). All shards
+run in one process on the caller's thread.
 
 Shared state — and why sharing is safe
 --------------------------------------
@@ -22,7 +22,10 @@ Two components are deliberately *not* sharded:
 
 Every shard also reports into one shared Function-1 evaluation counter
 (:class:`~repro.core.cominer.F1Counter`, ``ShardedFarmer.sim_cache``),
-so the service-wide count needs no summing.
+so the service-wide count needs no summing. The stores are plain
+objects with no locks: a ``ShardedFarmer`` is single-threaded, and the
+online plane (:class:`~repro.online.pipeline.OnlineService`) serialises
+every touch of it under one service lock.
 
 Cross-shard edges (``cross_shard_edges``) and batched echoes
 ------------------------------------------------------------
@@ -77,8 +80,7 @@ The router is swappable at runtime: :meth:`ShardedFarmer.rebalance`
 installs a new topology (different shard count, different policy, or
 new consistent-hash weights) and migrates **only the fids whose owner
 changed** — each moved fid's graph node and freshly-ranked Correlator
-List ship from the old owner to the new one through the same
-serialization seam the process-backend runner uses
+List ship from the old owner to the new one
 (:meth:`~repro.core.cominer.CoMiner.flush_nodes_report` /
 ``adopt_migrated``); nothing is re-mined. The shared vocabulary, vector
 store and Function-1 counter are namespace-global and never move.
@@ -138,7 +140,7 @@ from repro.core.config import FarmerConfig
 from repro.core.extractor import Extractor
 from repro.core.farmer import Farmer
 from repro.core.sorter import CorrelationSnapshot
-from repro.core.vector_store import ThreadSafeVectorStore
+from repro.core.vector_store import VectorStore
 from repro.errors import ConfigError, ReplicationError, ShardFailedError
 from repro.graph.correlator_list import CorrelatorEntry
 from repro.service.replication import (
@@ -149,7 +151,7 @@ from repro.service.replication import (
 from repro.service.router import ShardRouter, make_router
 from repro.service.stats import ServiceStats, load_signal
 from repro.traces.record import TraceRecord
-from repro.vsm.vocabulary import ThreadSafeVocabulary
+from repro.vsm.vocabulary import Vocabulary
 
 __all__ = [
     "ShardedFarmer",
@@ -250,15 +252,10 @@ class ShardedFarmer:
                 f"router has {router.n_shards} shards, config wants {n}"
             )
         self.router = router
-        # the shared stores are the service's write-contended state: the
-        # vocabulary locks interning (all shards intern), the vector
-        # store locks updates (shards write disjoint fids, but the dicts
-        # underneath still need serialised mutation), and the Function-1
-        # counter locks its increments. This is what lets
-        # ParallelShardRunner execute shards on real threads.
-        self.vocabulary = ThreadSafeVocabulary()
+        # namespace-global stores shared by every shard by identity
+        self.vocabulary = Vocabulary()
         self.extractor = Extractor(self.config.attributes, self.vocabulary)
-        self.vector_store = ThreadSafeVectorStore(self.config, self.extractor)
+        self.vector_store = VectorStore(self.config, self.extractor)
         self.sim_cache = F1Counter()
         self.shards: tuple[Farmer, ...] = tuple(
             Farmer(
@@ -460,96 +457,6 @@ class ShardedFarmer:
             if self._since_standby_sync >= self.config.standby_sync_interval:
                 self.sync_standbys()
 
-    def _partition(
-        self,
-        records: Iterable[TraceRecord],
-        prev: int | None,
-        drain: bool = True,
-    ) -> tuple[list[list[tuple[TraceRecord, bool]]], int, int | None, int | None]:
-        """The one place the owner/echo substream rule lives.
-
-        Returns ``(subs, n_accepted, last_owner, last_fid)`` where
-        ``subs[i]`` is shard *i*'s substream of ``(record, is_echo)``
-        pairs: the records it owns plus, under ``cross_shard_edges``,
-        the boundary requests echoed to it. ``prev`` seeds the boundary
-        detection (pass the live ``_prev_owner`` to continue a stream,
-        ``None`` for a standalone split).
-
-        Echo placement follows the configured drain schedule: at
-        ``echo_flush_interval == 0`` echoes sit inline in the
-        destination's substream (the just-in-time order — bit-identical
-        to synchronous delivery); at ``K > 0`` they are appended after
-        the destination's owned records, which is exactly the batch
-        schedule's ingest-barrier drain. With ``drain`` (the live-stream
-        paths: ``mine``, the replay harness, the parallel runner), any
-        echoes still queued from a preceding ``observe`` stream are
-        delivered first so the substreams start from drained state;
-        ``drain=False`` keeps the call side-effect-free (the standalone
-        :meth:`partition` split).
-        """
-        if drain:
-            # guards every live-stream batch path (mine, the replay
-            # harness, the parallel runner): a failed shard's substream
-            # would otherwise silently feed an empty placeholder
-            if self._failed:
-                raise ShardFailedError(min(self._failed))
-            self.flush_echoes()
-        n = self.config.n_shards
-        subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
-        batched = self.config.lazy_reevaluation and self.config.echo_flush_interval > 0
-        tails: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
-        op_filter = self.config.op_filter
-        cross = self.config.cross_shard_edges
-        route = self.router.route
-        accepted = 0
-        last_fid = None
-        for record in records:
-            if op_filter is not None and record.op not in op_filter:
-                continue
-            owner = route(record.fid)
-            subs[owner].append((record, False))
-            if cross and prev is not None and prev != owner:
-                (tails if batched else subs)[prev].append((record, True))
-            prev = owner
-            last_fid = record.fid
-            accepted += 1
-        if batched:
-            for sub, tail in zip(subs, tails):
-                sub.extend(tail)
-        return subs, accepted, prev, last_fid
-
-    def partition(
-        self, records: Iterable[TraceRecord]
-    ) -> list[list[tuple[TraceRecord, bool]]]:
-        """Split a trace into the per-shard ``(record, is_echo)``
-        substreams ``observe`` would feed each shard.
-
-        This is the replay surface for per-shard concurrency (the
-        service benchmark drives one substream per modeled worker).
-        Under strict isolation a shard replaying its substream is
-        bit-identical to the global ``observe`` schedule; with echoes
-        enabled the substreams interleave shared-vector updates in a
-        different order, so eagerly-refreshed edge degrees can differ
-        transiently until the next query re-ranks the list.
-
-        Side-effect-free: echoes already queued on the live service are
-        left queued (and are not part of the returned split) — only the
-        live-stream entry points (``mine``, the harness, the runner)
-        drain before partitioning.
-        """
-        return self._partition(records, None, drain=False)[0]
-
-    def _absorb_stream_state(
-        self, accepted: int, n_placed: int, prev: int | None, last_fid: int | None
-    ) -> None:
-        """Fold one partitioned batch into the stream accounting
-        (``n_placed`` is the total substream length including echoes)."""
-        self._n_observed += accepted
-        self._n_boundary_echoes += n_placed - accepted
-        self._prev_owner = prev
-        if last_fid is not None:
-            self._prev_fid = last_fid
-
     def mine(self, records: Sequence[TraceRecord]) -> "ShardedFarmer":
         """Batch-mine a trace shard by shard; returns self for chaining.
 
@@ -559,21 +466,54 @@ class ShardedFarmer:
         shards: flushing shard by shard would rank them against whatever
         vector prefix happened to be ingested, while the barrier ranks
         everything against the end-of-batch state — the same guarantee
-        ``Farmer.mine`` gives a single miner. Queued boundary echoes
-        are delivered within the ingest phase (inline at
-        ``echo_flush_interval == 0``, appended at the barrier under a
-        positive interval), so the flush never ranks a list that is
+        ``Farmer.mine`` gives a single miner.
+
+        Shard *i*'s substream holds ``(record, is_echo)`` pairs: the
+        records it owns plus, under ``cross_shard_edges``, the boundary
+        requests echoed to it. Echoes still queued from a preceding
+        ``observe`` stream are delivered first; this batch's echoes sit
+        inline in the destination's substream at
+        ``echo_flush_interval == 0`` (the just-in-time order —
+        bit-identical to synchronous delivery) and are appended after
+        the destination's owned records under a positive interval (the
+        ingest-barrier drain), so the flush never ranks a list that is
         missing an enqueued echo. Unavailable while any shard is failed
         (the batch would silently drop that partition's records) —
         promote the standby first.
         """
         if self._failed:
             raise ShardFailedError(min(self._failed))
-        subs, accepted, prev, last_fid = self._partition(records, self._prev_owner)
-        self._absorb_stream_state(
-            accepted, sum(len(s) for s in subs), prev, last_fid
-        )
-        if not self.config.lazy_reevaluation:
+        self.flush_echoes()
+        config = self.config
+        n = config.n_shards
+        subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
+        batched = config.lazy_reevaluation and config.echo_flush_interval > 0
+        tails: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
+        op_filter = config.op_filter
+        cross = config.cross_shard_edges
+        route = self.router.route
+        prev = self._prev_owner
+        last_fid = self._prev_fid
+        accepted = echoes = 0
+        for record in records:
+            if op_filter is not None and record.op not in op_filter:
+                continue
+            owner = route(record.fid)
+            subs[owner].append((record, False))
+            if cross and prev is not None and prev != owner:
+                (tails if batched else subs)[prev].append((record, True))
+                echoes += 1
+            prev = owner
+            last_fid = record.fid
+            accepted += 1
+        if batched:
+            for sub, tail in zip(subs, tails):
+                sub.extend(tail)
+        self._n_observed += accepted
+        self._n_boundary_echoes += echoes
+        self._prev_owner = prev
+        self._prev_fid = last_fid
+        if not config.lazy_reevaluation:
             for shard, sub in zip(self.shards, subs):
                 if sub:
                     shard.mine_mixed(sub)
@@ -586,7 +526,7 @@ class ShardedFarmer:
                     shard.miner.flush_nodes(sorted(touched))
         if self._replicator is not None:
             self._since_standby_sync += accepted
-            if self._since_standby_sync >= self.config.standby_sync_interval:
+            if self._since_standby_sync >= config.standby_sync_interval:
                 self.sync_standbys()
         return self
 
@@ -914,8 +854,7 @@ class ShardedFarmer:
         fid whose owner changed has its graph node and freshly-ranked
         Correlator List shipped from the old owner to the new one
         (`CoMiner.flush_nodes_report` ranks, ``extract_state`` /
-        ``adopt_migrated`` move — the same serialization seam the
-        process-backend runner uses), so no re-mining happens and
+        ``adopt_migrated`` move), so no re-mining happens and
         post-rebalance queries serve exactly the lists the old owners
         would have served. Shards beyond a shrunken count are dropped
         after their fids migrate out; new shards join sharing the same

@@ -12,12 +12,11 @@ scheme.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.utils.intern import Interner
 
-__all__ = ["Vocabulary", "ThreadSafeVocabulary"]
+__all__ = ["Vocabulary"]
 
 _PATH_NS = "pathc"
 
@@ -54,44 +53,3 @@ class Vocabulary:
         """Approximate resident size (memory-overhead accounting)."""
         return self._interner.approx_bytes()
 
-
-class ThreadSafeVocabulary(Vocabulary):
-    """A :class:`Vocabulary` safe for concurrent interning.
-
-    Interning is check-then-insert: two shards extracting records that
-    share an attribute value (the same user touching files owned by two
-    shards) would race and could hand out two ids for one token. The
-    lock makes the id assignment atomic. Token *ids* stay opaque — which
-    id a token gets may vary with thread interleaving, but similarity
-    only compares ids for equality, so mined degrees are unaffected.
-
-    Picklable (process-backend workers receive a snapshot); the lock is
-    recreated on unpickle.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def scalar_token(self, attr: str, value: Any) -> int:
-        with self._lock:
-            return super().scalar_token(attr, value)
-
-    def path_component(self, component: str) -> int:
-        with self._lock:
-            return super().path_component(component)
-
-    def path_components(self, components: tuple[str, ...]) -> tuple[int, ...]:
-        with self._lock:
-            return super().path_components(components)
-
-    def __getstate__(self):
-        # always-truthy container (an empty interner is falsy, and pickle
-        # skips __setstate__ for falsy states)
-        return {"interner": self._interner}
-
-    def __setstate__(self, state) -> None:
-        self._interner = state["interner"]
-        self._lock = threading.Lock()

@@ -239,12 +239,6 @@ class TestSettlePoints:
             side.miner.adopt_migrated(1, CorrelatorList(), tick=0)
         assert farmer.correlators(1) == ref.correlators(1) == []
 
-    def test_adopting_ranked_lists_drops_the_log(self):
-        farmer, ref = _logged_pair(2, 3)
-        for side in (farmer, ref):
-            side.miner.adopt_ranked({1: CorrelatorList()}, [1])
-        assert farmer.correlators(1) == ref.correlators(1) == []
-
     def test_pure_getters_do_not_replay(self):
         farmer, _ = _logged_pair(2, 3)
         evaluations = farmer.f1_evaluations()

@@ -39,19 +39,6 @@ class TestDocsExist:
         readme = (REPO / "README.md").read_text()
         assert f"docs/{name}" in readme
 
-    def test_caveat_lives_in_benchmarks_doc(self):
-        """The 1-core executor-overhead caveat's single home."""
-        text = (REPO / "docs" / "benchmarks.md").read_text()
-        assert "executor overhead, not" in text
-        # and the CLI service --parallel help states it and points here
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        service_parser = parser._subparsers._group_actions[0].choices["service"]
-        help_text = service_parser.format_help()
-        assert "executor overhead" in help_text
-        assert "docs/benchmarks.md" in help_text
-
 
 class TestDocBlocksCompile:
     """Compile always; execution is exercised by the CI docs job (and

@@ -2,9 +2,13 @@
 bit — shared-store identity, lazy-rank schedule, standbys and all."""
 
 import json
+import pickle
+import zlib
 
 import pytest
 
+from repro.core import vector_store as vector_store_module
+from repro.core.cominer import F1Counter
 from repro.core.config import FarmerConfig
 from repro.durability.manager import DurabilityManager
 from repro.durability.snapshot import (
@@ -156,3 +160,72 @@ class TestConfigMismatch:
             DurabilityManager(tmp_path).recover(CFG)
         assert "sim_cache_capacity" in str(excinfo.value)
         assert "shared_sim_cache" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "legacy, needle",
+        [
+            ("store_class", "repro.core.vector_store.ThreadSafeVectorStore"),
+            ("counter_state", "does not fit its class"),
+        ],
+    )
+    def test_snapshot_from_an_older_version_is_refused(
+        self, tmp_path, records, monkeypatch, legacy, needle
+    ):
+        """Snapshots written while the shared stores were lock-wrapped
+        pickle ``ThreadSafeVectorStore`` (a class that no longer exists)
+        and an ``F1Counter`` state of ``(n,)`` (a shape the lock-free
+        counter no longer reads). Recovery refuses either by file name;
+        it neither crashes inside pickle nor falls back to the older
+        snapshot or a WAL replay."""
+        manager = DurabilityManager(tmp_path)
+        service = ShardedFarmer(CFG)
+        for seq in (500, 1_000):
+            batch = records[seq - 500 : seq]
+            for record in batch:
+                manager.log_accepted(record, True)
+            service.ingest_stream((r, True) for r in batch)
+            manager.checkpoint(service, seq)
+        manager.close()
+        newest = latest_snapshot(manager.snapshot_dir)
+        shared_path = newest / "shared.pkl"
+        shared = pickle.loads(shared_path.read_bytes())
+        if legacy == "store_class":
+            old_class = type(
+                "ThreadSafeVectorStore",
+                (vector_store_module.VectorStore,),
+                {"__module__": vector_store_module.__name__},
+            )
+            monkeypatch.setattr(
+                vector_store_module,
+                "ThreadSafeVectorStore",
+                old_class,
+                raising=False,
+            )
+            shared["vector_store"].__class__ = old_class
+        else:
+            monkeypatch.setattr(
+                F1Counter, "__getstate__", lambda self: (self._n,), raising=False
+            )
+        data = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        shared_path.write_bytes(data)
+        manifest_path = newest / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["shared.pkl"] = {
+            "bytes": len(data),
+            "crc32": zlib.crc32(data),
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        # the CRCs check out, so the snapshot is not skipped as damaged
+        # and an older barrier is there to fall back to
+        assert latest_snapshot(manager.snapshot_dir) == newest
+        assert len(list(manager.snapshot_dir.glob("snap-*"))) == 2
+        booting = DurabilityManager(tmp_path)
+        with pytest.raises(SnapshotMismatchError) as excinfo:
+            booting.recover(CFG)
+        booting.close()
+        message = str(excinfo.value)
+        assert str(shared_path) in message
+        assert needle in message
+        assert booting.recovery is None
+        assert booting.base_consumed == 0

@@ -1,74 +1,10 @@
-"""The replay harness and the `service` CLI subcommand."""
+"""The `service` CLI subcommand: a measured table, not a model."""
+
+import pytest
 
 from repro.cli import main
-from repro.core.config import FarmerConfig
-from repro.core.farmer import Farmer
-from repro.service.harness import (
-    ServiceComparison,
-    compare_single_vs_sharded,
-    replay_sharded,
-    replay_single,
-)
-from repro.service.sharded import ShardedFarmer
-from repro.traces.synthetic import generate_trace
 
-
-class TestReplay:
-    def test_replay_single_returns_elapsed(self, hp_trace):
-        elapsed = replay_single(Farmer(), hp_trace[:300])
-        assert elapsed > 0.0
-
-    def test_replay_sharded_covers_all_records(self, hp_trace):
-        service = ShardedFarmer(FarmerConfig(n_shards=4))
-        timings = replay_sharded(service, hp_trace[:600])
-        assert len(timings) == 4
-        assert sum(t.n_records for t in timings) >= 600  # echoes add to it
-        assert all(t.elapsed_s >= 0.0 for t in timings)
-        # service-level accounting stays consistent after a replay
-        assert service.n_observed == 600
-        assert service.n_boundary_echoes == (
-            sum(t.n_records for t in timings) - 600
-        )
-        # the replay actually mined: every shard that got records has state
-        for timing, shard in zip(timings, service.shards):
-            if timing.n_records:
-                assert shard.stats().n_observed == timing.n_records
-
-    def test_replay_matches_observe_schedule(self, hp_trace):
-        """Per-shard replay yields the same mining state as the live
-        ``observe`` schedule under strict isolation (the documented
-        bit-for-bit case). Both sides run observe-only so every list is
-        ranked against the same final state at comparison time (the
-        per-request FPA predict freezes lists at request time — the
-        lazy contract's usual freshness scope)."""
-        records = hp_trace[:800]
-        cfg = FarmerConfig(n_shards=3, cross_shard_edges=False, max_strength=0.3)
-        replayed = ShardedFarmer(cfg)
-        replay_sharded(replayed, records, predict=False)
-        live = ShardedFarmer(cfg)
-        for record in records:
-            live.observe(record)
-        for record in records:
-            assert replayed.correlators(record.fid) == live.correlators(record.fid)
-
-    def test_comparison_metrics(self):
-        records = generate_trace("hp", 800, seed=1)
-        cmp_ = compare_single_vs_sharded(records, FarmerConfig(n_shards=2))
-        assert isinstance(cmp_, ServiceComparison)
-        assert cmp_.n_records == 800
-        assert cmp_.n_shards == 2
-        assert cmp_.critical_path_s > 0
-        assert cmp_.aggregate_throughput > 0
-        assert cmp_.speedup > 0
-        assert cmp_.memory_bytes > 0
-
-    def test_comparison_reuses_baseline(self):
-        records = generate_trace("hp", 400, seed=1)
-        cmp_ = compare_single_vs_sharded(
-            records, FarmerConfig(n_shards=2), single_elapsed_s=1.0
-        )
-        assert cmp_.single_elapsed_s == 1.0
-        assert cmp_.single_throughput == 400.0
+HEADERS = ("shards", "records", "echoes", "wall s", "vs 1 shard")
 
 
 class TestServiceCli:
@@ -88,9 +24,20 @@ class TestServiceCli:
             == 0
         )
         out = capsys.readouterr().out
-        assert "shards" in out
-        assert "baseline" in out
-        assert "speedup" in out
+        for header in HEADERS:
+            assert header in out
+        assert "observe+predict/s" in out
+        assert "measured wall clock" in out
+        lines = out.splitlines()
+        rows = [line.split("|") for line in lines if line[:1].isdigit()]
+        assert [row[0].strip() for row in rows] == ["1", "2"]
+        assert all(row[1].strip() == "600" for row in rows)
+        assert rows[0][2].strip() == "0"  # one miner echoes nothing
+        assert rows[0][-1].strip() == "1.00x"
+        lowered = out.lower()
+        assert "critical path" not in lowered
+        assert "speedup" not in lowered
+        assert "baseline" not in lowered
 
     def test_service_subcommand_isolated_observe_only(self, capsys):
         assert (
@@ -112,3 +59,25 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert "cross_shard_edges=False" in out
         assert "mode=observe" in out
+        assert "observe/s" in out
+        # the 1-shard reference row is always timed, so the ratio has
+        # a denominator even when it is not asked for
+        rows = [line.split("|") for line in out.splitlines() if line[:1].isdigit()]
+        assert [row[0].strip() for row in rows] == ["1", "2"]
+        assert rows[1][2].strip() == "0"  # strict isolation: no echoes
+
+    @pytest.mark.parametrize(
+        "flags", [["--parallel", "thread"], ["--workers", "2"]]
+    )
+    def test_removed_parallel_flags_are_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["service", "--events", "100", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_lists_no_parallel_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["service", "--help"])
+        out = capsys.readouterr().out
+        assert "--parallel" not in out
+        assert "--workers" not in out

@@ -211,3 +211,36 @@ class TestMineBatch:
     def test_mine_returns_self(self):
         service = ShardedFarmer(FarmerConfig(n_shards=2))
         assert service.mine(generate_trace("hp", 200, seed=1)) is service
+
+    def test_strict_isolation_mine_places_no_echoes(self):
+        """Batch ``mine`` under strict isolation echoes nothing, and each
+        shard's lists are those of a plain Farmer mining its routed
+        substream."""
+        trace = generate_trace("hp", 2_500, seed=1)
+        cfg = FarmerConfig(
+            max_strength=0.3, n_shards=4, cross_shard_edges=False
+        )
+        service = ShardedFarmer(cfg).mine(trace)
+        assert service.n_boundary_echoes == 0
+        assert service.n_observed == len(trace)
+        references = [
+            Farmer(cfg.with_(n_shards=1)).mine(
+                [r for r in trace if r.fid % 4 == index]
+            )
+            for index in range(4)
+        ]
+        for record in trace:
+            ref = references[record.fid % 4]
+            assert service.correlators(record.fid) == ref.correlators(record.fid)
+
+    def test_shards_round_trip_through_pickle(self):
+        """Shards and their shared stores pickle (durable snapshots rely
+        on it); a clone answers every query as its original does."""
+        import pickle
+
+        service = ShardedFarmer(FarmerConfig(n_shards=2))
+        service.mine(generate_trace("hp", 400, seed=3))
+        for shard in service.shards:
+            clone = pickle.loads(pickle.dumps(shard))
+            for fid in shard.constructor.graph.nodes():
+                assert clone.correlators(fid) == shard.correlators(fid)
