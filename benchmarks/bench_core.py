@@ -24,8 +24,7 @@ from repro.graph.correlation_graph import CorrelationGraph
 from repro.graph.correlator_list import CorrelatorList
 from repro.vsm.similarity import dpa_similarity, ipa_similarity
 from repro.vsm.vocabulary import Vocabulary
-
-EAGER = FarmerConfig(lazy_reevaluation=False)
+from tests.oracle import eager_observe, entrywise_kernel
 
 
 def _sims_per_request(farmer: Farmer) -> float:
@@ -37,9 +36,10 @@ def _sims_per_request(farmer: Farmer) -> float:
 def bench_farmer_observe_throughput(benchmark, hp_bench_trace, bench_record):
     """Full pipeline: requests mined per second (paper's overhead claim).
 
-    Mines with the default (lazy, stamped) config and prints the
-    similarity computations per request next to the eager baseline, so
-    the lazy schedule's win is visible in BENCH output.
+    Mines with the production (lazy, stamped) schedule and prints the
+    similarity computations per request next to the eager reference
+    (``tests.oracle.eager_observe``), so the lazy schedule's win is
+    visible in BENCH output.
     """
 
     def mine():
@@ -51,9 +51,9 @@ def bench_farmer_observe_throughput(benchmark, hp_bench_trace, bench_record):
 
     farmer = benchmark.pedantic(mine, rounds=2, iterations=1)
     assert farmer.stats().n_observed == len(hp_bench_trace)
-    eager = Farmer(EAGER)
+    eager = Farmer()
     for record in hp_bench_trace:
-        eager.observe(record)
+        eager_observe(eager, record)
     per_req_us = benchmark.stats["mean"] / len(hp_bench_trace) * 1e6
     lazy_sims = _sims_per_request(farmer)
     eager_sims = _sims_per_request(eager)
@@ -74,7 +74,8 @@ def bench_farmer_eager_vs_lazy(benchmark, hp_bench_trace, bench_record):
     """Eager vs lazy observe() throughput on the same trace.
 
     The benchmark measures the lazy hot path (queries deferred); the
-    eager schedule is timed alongside and the speedup printed.
+    eager reference (``tests.oracle.eager_observe``) is timed alongside
+    and the speedup printed.
     """
     n = len(hp_bench_trace)
 
@@ -87,9 +88,9 @@ def bench_farmer_eager_vs_lazy(benchmark, hp_bench_trace, bench_record):
     farmer = benchmark.pedantic(mine_lazy, rounds=3, iterations=1)
     assert farmer.stats().n_observed == n
     start = time.perf_counter()
-    eager = Farmer(FarmerConfig(lazy_reevaluation=False))
+    eager = Farmer()
     for record in hp_bench_trace:
-        eager.observe(record)
+        eager_observe(eager, record)
     eager_elapsed = time.perf_counter() - start
     lazy_us = benchmark.stats["mean"] / n * 1e6
     eager_us = eager_elapsed / n * 1e6
@@ -129,24 +130,28 @@ def bench_predict_under_churn(benchmark, hp_bench_trace, bench_record):
 def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
     """The batched mine() fast path (tick-driven flush at batch end).
 
-    The acceptance bench for the re-rank kernels: it times the bulk
-    kernel and, within the *same run*, asserts bit-identical lists
-    against the entrywise reference and the op-count reductions: zero
-    binary insertions during re-ranks where the entrywise kernel (clear
-    + per-entry ``update``) pays one per retained entry, and
+    The acceptance bench for the re-rank: it times the production
+    one-pass re-rank and, within the *same run*, asserts bit-identical
+    lists against the entrywise reference
+    (``tests.oracle.entrywise_kernel``) and the op-count reductions:
+    zero binary insertions during re-ranks where the entrywise kernel
+    (clear + per-entry ``update``) pays one per retained entry, and
     reevaluation/scan counters in exact parity.
     """
 
     def mine():
-        return Farmer(FarmerConfig(rerank_kernel="bulk")).mine(hp_bench_trace)
+        return Farmer().mine(hp_bench_trace)
 
     farmer = benchmark.pedantic(mine, rounds=5, iterations=1, warmup_rounds=2)
     assert farmer.stats().n_observed == len(hp_bench_trace)
     per_req_us = benchmark.stats["min"] / len(hp_bench_trace) * 1e6
     rps = len(hp_bench_trace) / benchmark.stats["min"]
-    reference = Farmer(
-        FarmerConfig(rerank_kernel="entrywise")
-    ).mine(hp_bench_trace)
+    with entrywise_kernel():
+        reference = Farmer().mine(hp_bench_trace)
+        expected = {
+            fid: reference.correlators(fid)
+            for fid in reference.constructor.graph.nodes()
+        }
     stats = farmer.rerank_stats()
     ref_stats = reference.rerank_stats()
     assert stats.n_reevaluations == ref_stats.n_reevaluations
@@ -154,8 +159,8 @@ def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
     assert stats.insort_ops == 0  # the whole point of rebuild()
     assert ref_stats.insort_ops > 0
     # the timing only counts if the same run proves equivalence
-    for fid in reference.constructor.graph.nodes():
-        assert farmer.correlators(fid) == reference.correlators(fid)
+    for fid, correlators in expected.items():
+        assert farmer.correlators(fid) == correlators
     print(
         f"\n[batch mine (bulk): {per_req_us:.1f} us/request "
         f"({rps:,.0f} rec/s); insorts/re-rank: 0 vs entrywise "
@@ -171,21 +176,23 @@ def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
     )
 
 
-def bench_rerank_kernel_op_counts(benchmark, hp_bench_trace, bench_record):
-    """Asserted op-count reductions on the FPA loop: the bulk kernel's
+def bench_rerank_op_counts(benchmark, hp_bench_trace, bench_record):
+    """Asserted op-count reductions on the FPA loop: the re-rank's
     stamps cut Function-1 evaluations and rebuild() eliminates re-rank
-    insorts, at bit-identical output."""
+    insorts, at bit-identical output. The plain (stamp-free) reference
+    is the entrywise kernel (``tests.oracle.entrywise_kernel``), which
+    counts Function 1 once per scanned pair."""
 
-    def fpa(**kw):
-        farmer = Farmer(FarmerConfig(vector_freeze_threshold=8, **kw))
+    def fpa():
+        farmer = Farmer(FarmerConfig(vector_freeze_threshold=8))
         for record in hp_bench_trace:
             farmer.observe(record)
             farmer.predict(record.fid)
         return farmer
 
     stamped = benchmark.pedantic(fpa, rounds=2, iterations=1)
-    plain = fpa(incremental_rerank=False)
-    entrywise = fpa(rerank_kernel="entrywise")
+    with entrywise_kernel():
+        plain = entrywise = fpa()
     s_f1, p_f1 = stamped.f1_evaluations(), plain.f1_evaluations()
     s_ops, e_ops = stamped.rerank_stats(), entrywise.rerank_stats()
     # fewer than half the Function-1 evaluations...

@@ -98,27 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     svc_p.add_argument(
-        "--echo-interval",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "batch boundary echoes: drain every K accepted requests instead "
-            "of just-in-time (0 = just-in-time, bit-identical to synchronous)"
-        ),
-    )
-    svc_p.add_argument(
-        "--idle-drain",
-        type=int,
-        default=0,
-        metavar="G",
-        help=(
-            "drain an idle shard's echo queue after G accepted requests "
-            "without activity on it (0 = off; idle queues then wait for "
-            "the shard's next own event or interval expiry)"
-        ),
-    )
-    svc_p.add_argument(
         "--replicate",
         action="store_true",
         help=(
@@ -335,13 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="standby sync cadence in accepted requests (with --replicate)",
     )
     serve_p.add_argument(
-        "--echo-interval",
-        type=int,
-        default=0,
-        metavar="K",
-        help="batch boundary echoes every K accepted requests (0 = JIT)",
-    )
-    serve_p.add_argument(
         "--queue-capacity",
         type=int,
         default=4096,
@@ -488,8 +460,6 @@ def _run_service(args: argparse.Namespace) -> int:
         shard_policy=policy,
         cross_shard_edges=not args.isolate,
         vector_freeze_threshold=args.freeze,
-        echo_flush_interval=args.echo_interval,
-        echo_idle_drain=args.idle_drain,
         replication=args.replicate,
         standby_sync_interval=args.sync_interval,
     )
@@ -522,8 +492,8 @@ def _run_service(args: argparse.Namespace) -> int:
     print(
         f"sharded mining service on '{args.trace}' x{args.events} "
         f"(router={policy}, cross_shard_edges={not args.isolate}, "
-        f"freeze={args.freeze}, echo_interval={args.echo_interval}, "
-        f"mode={mode}; measured wall clock, one thread)"
+        f"freeze={args.freeze}, mode={mode}; measured wall clock, "
+        "one thread)"
     )
     print(
         format_table(
@@ -841,7 +811,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         shard_policy=args.router,
         replication=args.replicate,
         standby_sync_interval=args.sync_interval,
-        echo_flush_interval=args.echo_interval,
     )
     policy = AdmissionPolicy(
         capacity=args.queue_capacity,

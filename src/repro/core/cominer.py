@@ -32,9 +32,8 @@ mining to be O(small). Two mechanisms make it so:
   first (:meth:`query`, :meth:`flush_all`, :meth:`list_of`,
   :meth:`lists`, :meth:`extract_state`), with the arithmetic of
   :meth:`correlation_degree` on the captured vectors, so
-  every list a reader sees is bit-for-bit the one the eager refresh
-  (:meth:`reevaluate_edge`, still the ``lazy_reevaluation=False``
-  schedule) would have built; any rebuild or replacement of the list
+  every list a reader sees is bit-for-bit the one an immediate refresh
+  of the edge would have built; any rebuild or replacement of the list
   discards its log. Raw views of a *dirty* list
   (:meth:`list_of`/:meth:`lists` before a flush) therefore no longer
   carry the refreshes dropped while it was dirty. Pinned by
@@ -46,12 +45,11 @@ mining to be O(small). Two mechanisms make it so:
   :meth:`flush_nodes` (the batch-``mine`` path) re-ranks exactly the
   touched nodes whose tick moved since they were last ranked.
 
-One-pass re-rank kernel (``FarmerConfig.rerank_kernel``)
---------------------------------------------------------
+One-pass re-rank
+----------------
 
-``reevaluate`` is the hottest loop in the system, and the default
-"bulk" kernel runs it as one measurable pass instead of d independent
-``update``/``insort`` calls:
+``reevaluate`` is the hottest loop in the system, and it runs as one
+measurable pass instead of d independent ``update``/``insort`` calls:
 
 * the source's vector/version and access count are resolved **once**;
 * per successor, an *entry stamp* ``(vector-version pair, N_xy, N_x)``
@@ -63,25 +61,24 @@ One-pass re-rank kernel (``FarmerConfig.rerank_kernel``)
   requests reshape the requester's vector (about 97% of the FPA
   requests on the HP trace), so reuse is keyed on exact versions;
 * the remaining successors get Function 1 as one row
-  (:func:`~repro.vsm.similarity.similarity_row`, the call
-  :meth:`semantic_distances` makes): the source side of IPA(bag) is
-  resolved once per re-rank, and the values are bit-identical to
-  per-pair :meth:`semantic_distance` calls;
+  (:func:`~repro.vsm.similarity.similarity_row`): the source side of
+  IPA(bag) is resolved once per re-rank, and the values are
+  bit-identical to per-pair :meth:`semantic_distance` calls;
 * the list is materialised by a single
   :meth:`~repro.graph.correlator_list.CorrelatorList.rebuild` (sort +
   threshold/capacity cut, O(d log d)) instead of d binary insertions.
 
-``rerank_kernel="entrywise"`` keeps the per-entry reference path
-(bit-for-bit identical output, property-tested);
-``incremental_rerank=False`` disables the stamps. The op counters in
+The test suite's oracle module holds the paper-literal references: an
+entrywise, stamp-free re-rank (clear, then one ``update`` per
+successor) and the eager per-request schedule; the output is bit-for-bit
+identical to theirs (property-tested). The op counters in
 :class:`RerankStats` and the Function-1 evaluation count
 (:class:`F1Counter`) let benchmarks assert the work reduction instead
 of poking internals.
 
-Ranking contract (both kernels): a re-ranked list is a pure function of
-the file's *current* successor set — the top-capacity degrees above the
-threshold. Stale entries and stale degrees never interact with the
-capacity cut.
+Ranking contract: a re-ranked list is a pure function of the file's
+*current* successor set — the top-capacity degrees above the threshold.
+Stale entries and stale degrees never interact with the capacity cut.
 """
 
 from __future__ import annotations
@@ -149,10 +146,9 @@ class RerankStats:
         entries_scanned: successor entries examined across all re-ranks.
         entries_skipped_unchanged: entries whose stamp matched every
             input — degree reused, Function 1 and Function 2 skipped.
-        insort_ops: binary insertions into Correlator Lists (the bulk
-            kernel performs none during a re-rank; the single-edge
-            refresh still insorts — eagerly, or when an edge log is
-            replayed; refreshes still pending in a log are not counted).
+        insort_ops: binary insertions into Correlator Lists (a re-rank
+            performs none; an edge-log replay insorts once per logged
+            refresh; refreshes still pending in a log are not counted).
     """
 
     n_reevaluations: int
@@ -181,14 +177,13 @@ class CoMiner:
         self._ranked_tick: dict[int, int] = {}
         # src -> dst -> (ver_src, ver_dst, n_xy, n_x, sim, degree): the
         # inputs and outputs of the last rank, pruned to the current
-        # successor set on every bulk re-rank
+        # successor set on every re-rank
         self._stamps: dict[int, dict[int, tuple]] = {}
         # src -> pending edge refreshes (dst, va, vb, freq),
         # in arrival order (see defer_edge)
         self._edge_log: dict[int, list[tuple]] = {}
-        self._bulk = config.rerank_kernel == "bulk"
-        self._incremental = self._bulk and config.incremental_rerank
-        # the bulk kernel's (tick, epoch) whole-list-skip stamps
+        # the vector-store epoch each list was last ranked at (with
+        # _ranked_tick, the whole-list-skip stamp)
         self._ranked_epoch: dict[int, int] = {}
         self._n_reevaluations = 0
         self._entries_scanned = 0
@@ -214,25 +209,6 @@ class CoMiner:
         if vb is None:
             return 0.0
         return self._f1(va, vb)
-
-    def semantic_distances(self, src: int, dsts) -> list[float]:
-        """Batch Function 1: ``sim(src, dst)`` for every dst, in order.
-
-        The dsts with a vector go through one
-        :func:`~repro.vsm.similarity.similarity_row` — the call
-        :meth:`_reevaluate_bulk` makes — so the values and the
-        evaluation count equal per-pair :meth:`semantic_distance` calls.
-        """
-        vectors = self.constructor.vectors.maps()[0]
-        va = vectors.get(src)
-        if va is None:
-            return [0.0 for _ in dsts]
-        vbs = [vectors.get(dst) for dst in dsts]
-        row = [vb for vb in vbs if vb is not None]
-        self.sim_cache.add(len(row))
-        config = self.config
-        computed = iter(similarity_row(va, row, config.path_method, config.path_mode))
-        return [0.0 if vb is None else next(computed) for vb in vbs]
 
     def correlation_degree(self, src: int, dst: int) -> float:
         """Function 2: ``R = sim·p + F·(1−p)``."""
@@ -265,18 +241,13 @@ class CoMiner:
         filter by the validity threshold, keep the list sorted. Entries
         whose edge the graph has evicted are dropped (the stale-edge
         sweep falls out of ranking over the current successor set).
-        Clears the dirty flag and records the graph tick ranked at."""
-        if self._bulk:
-            return self._reevaluate_bulk(src)
-        return self._reevaluate_entrywise(src)
+        Clears the dirty flag and records the graph tick ranked at.
 
-    def _reevaluate_bulk(self, src: int) -> CorrelatorList:
-        """One-pass kernel: stamps skip unchanged successors, the
-        remaining similarities come from one
-        :func:`~repro.vsm.similarity.similarity_row` (the call
-        :meth:`semantic_distances` makes; value- and count-identical to
-        per-pair :meth:`semantic_distance`), and the list is
-        materialised by a single sort/cut rebuild.
+        One pass: stamps skip unchanged successors, the remaining
+        similarities come from one
+        :func:`~repro.vsm.similarity.similarity_row` (value- and
+        count-identical to per-pair :meth:`semantic_distance`), and the
+        list is materialised by a single sort/cut rebuild.
 
         Stamps are recorded from a file's first *re*-rank on: a one-shot
         batch ranks every file exactly once, and allocating stamps it
@@ -295,27 +266,26 @@ class CoMiner:
             n_x = 0
             tick = 0
         d = len(succ_fids)
-        if self._incremental:
-            last_epoch = self._ranked_epoch.get(src)
-            if (
-                last_epoch is not None
-                and last_epoch == store.epoch()
-                and self._ranked_tick.get(src) == tick
-                and src in self._lists
-            ):
-                # node tick and vector epoch both unchanged since the
-                # last rank: every input of the list is provably the
-                # same, skip the candidate scan outright (counters
-                # advance as if scanned, preserving cross-kernel parity)
-                self._n_reevaluations += 1
-                self._entries_scanned += d
-                self._entries_skipped += d
-                self._dirty.discard(src)
-                # not a rebuild, so a pending log still applies (one can
-                # only be pending here if an adopted node's tick happens
-                # to equal the one this list was ranked at)
-                self._settle(src)
-                return self._lists[src]
+        last_epoch = self._ranked_epoch.get(src)
+        if (
+            last_epoch is not None
+            and last_epoch == store.epoch()
+            and self._ranked_tick.get(src) == tick
+            and src in self._lists
+        ):
+            # node tick and vector epoch both unchanged since the last
+            # rank: every input of the list is provably the same, skip
+            # the candidate scan outright (counters advance as if
+            # scanned, preserving parity with a stamp-free re-rank)
+            self._n_reevaluations += 1
+            self._entries_scanned += d
+            self._entries_skipped += d
+            self._dirty.discard(src)
+            # not a rebuild, so a pending log still applies (one can
+            # only be pending here if an adopted node's tick happens to
+            # equal the one this list was ranked at)
+            self._settle(src)
+            return self._lists[src]
         self._edge_log.pop(src, None)
         lst = self._list_for(src)
         self._n_reevaluations += 1
@@ -329,10 +299,8 @@ class CoMiner:
         va = vectors.get(src)
         ver_a = versions[src] if va is not None else 0
         want_f1 = use_sim and va is not None
-        stamps = self._stamps.get(src) if self._incremental else None
-        record_stamps = self._incremental and (
-            stamps is not None or src in self._ranked_tick
-        )
+        stamps = self._stamps.get(src)
+        record_stamps = stamps is not None or src in self._ranked_tick
         new_stamps: dict[int, tuple] = {}
         candidates: list[tuple[int, float]] = []
         skipped = 0
@@ -394,32 +362,8 @@ class CoMiner:
         self._entries_skipped += skipped
         self._dirty.discard(src)
         self._ranked_tick[src] = tick
-        if self._incremental:
-            self._ranked_epoch[src] = store.epoch()
+        self._ranked_epoch[src] = store.epoch()
         return lst
-
-    def _reevaluate_entrywise(self, src: int) -> CorrelatorList:
-        """Reference kernel: clear, then offer every successor through
-        ``CorrelatorList.update`` (one binary insertion each). Output is
-        bit-for-bit identical to the bulk kernel — both rank the current
-        successor set from scratch — which the property tests pin."""
-        successors = self.constructor.graph.successors(src)
-        self._edge_log.pop(src, None)
-        lst = self._list_for(src)
-        self._n_reevaluations += 1
-        self._entries_scanned += len(successors)
-        for fid in [e.fid for e in lst.entries()]:
-            lst.discard(fid)
-        for dst in successors:
-            lst.update(dst, self.correlation_degree(src, dst))
-        self._dirty.discard(src)
-        self._ranked_tick[src] = self.constructor.graph.change_tick(src)
-        return lst
-
-    def reevaluate_edge(self, src: int, dst: int) -> None:
-        """Refresh a single (src → dst) entry after an edge reinforcement
-        (the eager schedule; the lazy one calls :meth:`defer_edge`)."""
-        self._list_for(src).update(dst, self.correlation_degree(src, dst))
 
     def defer_edge(self, src: int, dst: int) -> None:
         """Log the refresh of a just-reinforced (src → dst) entry instead
@@ -428,9 +372,10 @@ class CoMiner:
         Nothing is recorded for a dirty ``src``: its list is rebuilt
         from current state before any query can see it. Otherwise the
         refresh's inputs as of now — both semantic vectors (immutable)
-        and ``F(src, dst)`` — join ``src``'s edge log,
-        which :meth:`_settle` replays into exactly what
-        :meth:`reevaluate_edge` would have inserted here.
+        and ``F(src, dst)`` — join ``src``'s edge log, which
+        :meth:`_settle` replays into exactly the entry an immediate
+        ``update(dst, correlation_degree(src, dst))`` would have
+        inserted here.
         """
         if src in self._dirty:
             return
@@ -540,13 +485,6 @@ class CoMiner:
             else:
                 self._dirty.discard(fid)
 
-    def flush_graph_changes(self) -> None:
-        """Full resync: re-rank every node in the graph whose change
-        tick moved since it was last ranked. O(graph) — prefer
-        :meth:`flush_nodes` when the touched set is known."""
-        self.flush_nodes(self.constructor.graph.nodes())
-        self._dirty.clear()
-
     def flush_nodes_report(self, fids) -> dict[int, CorrelatorList]:
         """:meth:`flush_nodes` that also returns the re-ranked lists —
         the shard rebalance and standby sync ship exactly the lists it
@@ -654,16 +592,23 @@ class CoMiner:
         self._settle_all()
         return self._lists
 
+    def memo_bytes(self) -> int:
+        """Footprint of the re-rank memo: the per-entry stamps and the
+        ranked epochs. It buys speed, not correlations, so Table 4
+        leaves it out of the paper's footprint."""
+        return 56 * len(self._ranked_epoch) + sum(
+            88 + 144 * len(d) for d in self._stamps.values()
+        )
+
     def approx_bytes(self) -> int:
         """Footprint of all Correlator Lists, the dirty/ranked-tick
-        bookkeeping, the re-rank stamps and the pending edge logs
-        (counted, never replayed)."""
+        bookkeeping, the re-rank memo (:meth:`memo_bytes`) and the
+        pending edge logs (counted, never replayed)."""
         return (
             64
             + sum(104 + lst.approx_bytes() for lst in self._lists.values())
             + 56 * len(self._ranked_tick)
-            + 56 * len(self._ranked_epoch)
             + 32 * len(self._dirty)
-            + sum(88 + 144 * len(d) for d in self._stamps.values())
+            + self.memo_bytes()
             + sum(88 + 112 * len(log) for log in self._edge_log.values())
         )

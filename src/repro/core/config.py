@@ -19,6 +19,13 @@ PATHLESS_ATTRIBUTES: tuple[str, ...] = ("user", "process", "host", "file", "dev"
 class FarmerConfig:
     """All tunables of the FARMER model.
 
+    The mining schedule itself is not a knob: ``observe`` marks the
+    requested file's Correlator List dirty and the stamped one-pass
+    re-rank runs on its first query, and a sharded service delivers
+    boundary echoes just in time. The paper-literal references (eager
+    per-request Algorithm 1, the entrywise stamp-free re-rank) live in
+    the test suite's oracle module and are compared against there.
+
     Attributes:
         weight_p: the Function 2 blend — weight of semantic distance
             (paper default 0.7; p=0 reduces FARMER to Nexus).
@@ -45,39 +52,11 @@ class FarmerConfig:
         correlator_capacity: max entries per Correlator List.
         prefetch_k: how many correlates the FPA prefetcher requests.
         op_filter: if set, only these operations are mined.
-        lazy_reevaluation: if True (default), ``observe()`` only marks
-            the requested file's Correlator List dirty and refreshes the
-            reinforced edges; the full Algorithm-1 re-rank runs on the
-            first query of a dirty list. If False, every request re-runs
-            Algorithm 1 immediately (the paper's literal per-request
-            schedule; used as the equivalence reference in tests).
-        rerank_kernel: how the full Algorithm-1 re-rank materialises a
-            Correlator List — "bulk" (default: one-pass candidate
-            evaluation + a single sort/threshold/capacity cut via
-            ``CorrelatorList.rebuild``), "entrywise" (offer every
-            successor through ``CorrelatorList.update``, a binary
-            insertion each — the reference path the equivalence tests
-            compare against). Both produce bit-identical lists; only
-            "bulk" keeps the entry stamps (``incremental_rerank``), so
-            only it turns stable vectors (``vector_freeze_threshold``)
-            into fewer Function-1 evaluations.
-        incremental_rerank: if True (default), the re-rank keeps a
-            ``(vector-version pair, N_xy, N_x)`` stamp per Correlator
-            entry and skips both Function 1 and Function 2 for
-            successors whose inputs are unchanged since the last rank —
-            the incremental path that only touches the delta. False
-            recomputes every degree on every re-rank (the reference
-            schedule; results are bit-identical either way). With the
-            "bulk" kernel the stamps also enable a whole-list skip:
-            when a list's node tick and the vector-store epoch both
-            match its last rank, the candidate scan is skipped outright
-            (``RerankStats.entries_skipped_unchanged`` still advances).
-            "entrywise" ignores it.
         vector_freeze_threshold: if > 0, a file's semantic vector is
             frozen (updates ignored, version stops bumping) once it has
             changed this many times — the vector-stability heuristic. A
             merged vector that survived N rewrites has saturated on the
-            file's sharing set. Freezing pays through the bulk kernel's
+            file's sharing set. Freezing pays through the re-rank's
             entry stamps: a frozen pair's version stops moving, so its
             stamped similarity is reused instead of re-evaluated
             (Function-1 evaluations fall to about a fifth of the
@@ -102,35 +81,6 @@ class FarmerConfig:
             two processes (or a remote client) reconstructing the
             router from config route identically regardless of
             ``PYTHONHASHSEED``.
-        echo_flush_interval: boundary-echo delivery schedule. Echoes
-            are always accumulated in per-destination-shard queues
-            rather than delivered synchronously with the triggering
-            request. 0 (default) drains a shard's queue just in time —
-            before the shard's next owned observation and before any
-            query routed to it — which is bit-for-bit equivalent to
-            the synchronous schedule (property-tested). A positive
-            value drains every ``echo_flush_interval`` accepted
-            requests instead (plus at every batch-``mine`` ingest
-            barrier and before queries), trading echo-edge window
-            fidelity for batching: an echo processed late attaches to
-            the destination shard's *current* window, so echoed-edge
-            LDA distances become approximate. Only meaningful under
-            ``lazy_reevaluation``; the eager schedule always delivers
-            echoes synchronously (it is the paper-literal reference).
-        echo_idle_drain: live drain trigger for idle shards. A
-            destination shard's echo queue normally waits for the
-            shard's next owned request or query (just-in-time mode) or
-            for the next interval expiry (batched mode) — an *idle*
-            shard's queue can therefore sit undelivered indefinitely.
-            With ``echo_idle_drain=G > 0``, a shard whose queue is
-            non-empty and which has seen no activity (owned observation
-            or drain) for G accepted requests elsewhere has its queue
-            drained proactively. 0 (default) disables the trigger.
-            Under ``echo_flush_interval=0`` the early drain is
-            bit-identical to just-in-time delivery (nothing can have
-            landed on the idle destination in between); under a
-            positive interval it is one more drain point of the
-            already-approximate batched schedule.
         replication: if True, a :class:`~repro.service.ShardedFarmer`
             keeps one warm standby per primary shard
             (:mod:`repro.service.replication`), synced through the
@@ -168,16 +118,11 @@ class FarmerConfig:
     correlator_capacity: int = 16
     prefetch_k: int = 4
     op_filter: tuple[str, ...] | None = None
-    lazy_reevaluation: bool = True
-    rerank_kernel: str = "bulk"
-    incremental_rerank: bool = True
     vector_freeze_threshold: int = 0
     n_shards: int = 1
     shard_policy: str = "hash"
     router_virtual_nodes: int = 64
     router_seed: int = 0
-    echo_flush_interval: int = 0
-    echo_idle_drain: int = 0
     replication: bool = False
     standby_sync_interval: int = 1024
     cross_shard_edges: bool = True
@@ -214,8 +159,6 @@ class FarmerConfig:
             raise ConfigError("correlator_capacity must be >= 1")
         if self.prefetch_k < 0:
             raise ConfigError("prefetch_k must be >= 0")
-        if self.rerank_kernel not in ("bulk", "entrywise"):
-            raise ConfigError(f"unknown rerank kernel {self.rerank_kernel!r}")
         if self.vector_freeze_threshold < 0:
             raise ConfigError("vector_freeze_threshold must be >= 0")
         if self.n_shards < 1:
@@ -224,10 +167,6 @@ class FarmerConfig:
             raise ConfigError(f"unknown shard policy {self.shard_policy!r}")
         if self.router_virtual_nodes < 1:
             raise ConfigError("router_virtual_nodes must be >= 1")
-        if self.echo_flush_interval < 0:
-            raise ConfigError("echo_flush_interval must be >= 0")
-        if self.echo_idle_drain < 0:
-            raise ConfigError("echo_idle_drain must be >= 0")
         if self.standby_sync_interval < 1:
             raise ConfigError("standby_sync_interval must be >= 1")
 

@@ -14,8 +14,8 @@ what the metadata-server simulator drives); ``mine`` is the batch
 convenience. ``predict`` returns the prefetch candidates the paper's FPA
 issues: the head of the (already threshold-filtered) Correlator List.
 
-Lazy mining contract (``FarmerConfig.lazy_reevaluation``, default on)
----------------------------------------------------------------------
+Lazy mining contract
+--------------------
 
 ``observe`` does only the O(window) work a request strictly requires:
 it updates the graph and vectors, hands each just-reinforced predecessor
@@ -29,9 +29,11 @@ query of a dirty list (``correlators`` / ``predict`` / ``snapshot`` /
 ``sorter``), where the re-rank's entry stamps rerun Function 1 only for
 pairs whose vectors actually changed. Query results therefore
 always reflect a full Algorithm-1 pass; when queries follow the
-triggering request (the FPA pattern) they are bit-identical to the eager
-schedule, and between a request and the next query of some *other* file
-the lazy path serves strictly fresher degrees than eager would.
+triggering request (the FPA pattern) they are bit-identical to the
+paper's eager per-request schedule (the test suite's oracle module
+keeps it as the reference), and between a request and the next query
+of some *other* file the lazy path serves strictly fresher degrees than
+eager would.
 
 ``mine`` goes further: during the batch no list maintenance runs at all;
 one tick-driven flush at the end re-ranks exactly the files the batch
@@ -39,9 +41,7 @@ touched. Note the scope of the equivalence guarantee: batch-mined lists
 are ranked against the *end-of-batch* graph and vector state, whereas
 the eager schedule freezes each list at the file's last request — so
 after ``mine`` the two can legitimately differ (the lazy result is the
-fresher of the two). With ``lazy_reevaluation=False`` both entry points
-fall back to the paper's literal schedule (Algorithm 1 on every
-request).
+fresher of the two).
 """
 
 from __future__ import annotations
@@ -124,20 +124,12 @@ class Farmer:
             return
         fid, touched = self.constructor.observe(record)
         miner = self.miner
-        if self.config.lazy_reevaluation:
-            # the freshly-reinforced incoming edges are logged for an
-            # exact replay on read; Algorithm 1 over the requested
-            # file's own successors waits for the first query of the
-            # (now dirty) list.
-            for pred in touched:
-                miner.defer_edge(pred, fid)
-            miner.mark_dirty(fid)
-        else:
-            # the freshly-reinforced incoming edges, then Algorithm 1
-            # over the requested file's own successors.
-            for pred in touched:
-                miner.reevaluate_edge(pred, fid)
-            miner.reevaluate(fid)
+        # the freshly-reinforced incoming edges are logged for an exact
+        # replay on read; Algorithm 1 over the requested file's own
+        # successors waits for the first query of the (now dirty) list.
+        for pred in touched:
+            miner.defer_edge(pred, fid)
+        miner.mark_dirty(fid)
         self._n_observed += 1
 
     def observe_echo(self, record: TraceRecord) -> None:
@@ -146,12 +138,11 @@ class Farmer:
         Two costs of :meth:`observe` are shed. The vector update is
         skipped outright — the record's owner shard has already folded
         it into the shared vector store this Farmer was constructed
-        with. And under lazy re-evaluation the reinforced predecessor
-        lists are only marked dirty rather than logged for replay
-        (:meth:`CoMiner.defer_edge`): the replay exists to match the
-        eager schedule bit-for-bit, but echoed edges have no
-        single-miner counterpart to match, and the predecessors' next
-        query re-ranks their whole list anyway.
+        with. And the reinforced predecessor lists are only marked
+        dirty rather than logged for replay (:meth:`CoMiner.defer_edge`):
+        the replay exists to match the eager schedule bit-for-bit, but
+        echoed edges have no single-miner counterpart to match, and the
+        predecessors' next query re-ranks their whole list anyway.
         """
         if (
             self.config.op_filter is not None
@@ -159,27 +150,19 @@ class Farmer:
         ):
             return
         fid, touched = self.constructor.observe_graph(record)
-        if self.config.lazy_reevaluation:
-            for pred in touched:
-                self.miner.mark_dirty(pred)
-            self.miner.mark_dirty(fid)
-        else:
-            for pred in touched:
-                self.miner.reevaluate_edge(pred, fid)
-            self.miner.reevaluate(fid)
+        mark = self.miner.mark_dirty
+        for pred in touched:
+            mark(pred)
+        mark(fid)
         self._n_observed += 1
 
     def mine(self, records: Iterable[TraceRecord]) -> "Farmer":
         """Batch-mine a trace; returns self for chaining.
 
-        Under lazy re-evaluation this is the fast path: list maintenance
-        is deferred entirely during the batch and a single tick-driven
-        flush at the end re-ranks every file whose graph state changed.
+        List maintenance is deferred entirely during the batch and a
+        single tick-driven flush at the end re-ranks every file whose
+        graph state changed.
         """
-        if not self.config.lazy_reevaluation:
-            for record in records:
-                self.observe(record)
-            return self
         self.miner.flush_nodes(sorted(self.ingest(records)))
         return self
 
@@ -207,39 +190,24 @@ class Farmer:
         self._n_observed += len(records)
         return changed
 
-    def mine_mixed(
-        self, records: Iterable[tuple[TraceRecord, bool]]
-    ) -> "Farmer":
-        """Batch-mine a substream of ``(record, is_echo)`` pairs — the
-        sharded service's per-shard batch path. Echo records run the
-        graph-only schedule of :meth:`observe_echo` (their owner shard
-        maintains the shared vector store; re-updating here would
-        perturb its merge-recency and, under the "latest" policy, let
-        substream processing order override global record order).
-        """
-        if not self.config.lazy_reevaluation:
-            for record, is_echo in records:
-                if is_echo:
-                    self.observe_echo(record)
-                else:
-                    self.observe(record)
-            return self
-        self.miner.flush_nodes(sorted(self.ingest_mixed(records)))
-        return self
-
     def ingest_mixed(
         self, records: Iterable[tuple[TraceRecord, bool]]
     ) -> set[int]:
-        """The ingest half of :meth:`mine_mixed`: feed graph and vectors
+        """Ingest a substream of ``(record, is_echo)`` pairs — the
+        sharded service's per-shard batch path: feed graph and vectors
         only, deferring every flush; returns the touched fids. The
         sharded service ingests *all* shards' substreams before flushing
         any of them, so cross-shard Correlator entries rank against the
         fully-updated shared vector store rather than whichever prefix
         happened to be ingested first.
 
-        Echoes skip the vector pass, so splitting into one vector batch
-        (owned records, stream order) and one graph batch (all records,
-        stream order) preserves per-record semantics exactly."""
+        Echo records run the graph-only schedule of :meth:`observe_echo`
+        (their owner shard maintains the shared vector store;
+        re-updating here would perturb its merge-recency and, under the
+        "latest" policy, let substream processing order override global
+        record order). So splitting into one vector batch (owned
+        records, stream order) and one graph batch (all records, stream
+        order) preserves per-record semantics exactly."""
         op_filter = self.config.op_filter
         pairs = [
             (r, e)

@@ -11,7 +11,7 @@ mechanism (§4.1).
 Two maintenance paths:
 
 * :meth:`update` — insert/re-rank one successor by binary insertion
-  (the eager single-edge refresh path);
+  (the single-edge refresh an edge-log replay applies);
 * :meth:`rebuild` — replace the whole list from a candidate set in one
   pass (single sort + threshold/capacity cut, O(d log d)). This is the
   Algorithm-1 re-rank kernel: offering every candidate through

@@ -27,8 +27,8 @@ objects with no locks: a ``ShardedFarmer`` is single-threaded, and the
 online plane (:class:`~repro.online.pipeline.OnlineService`) serialises
 every touch of it under one service lock.
 
-Cross-shard edges (``cross_shard_edges``) and batched echoes
-------------------------------------------------------------
+Cross-shard edges (``cross_shard_edges``) and just-in-time echoes
+-----------------------------------------------------------------
 
 Partitioning the stream would silently drop correlations that straddle a
 shard boundary. When the immediate predecessor of a request was routed
@@ -49,26 +49,16 @@ Echoes are not delivered synchronously with the triggering request:
 they accumulate in per-destination-shard queues (one append on the hot
 path — in a deployment the destination runs on another core and a
 synchronous echo would be a cross-shard call per boundary request).
-``FarmerConfig.echo_flush_interval`` picks the drain schedule:
-
-* ``0`` (default) — *just-in-time*: a shard's queue drains immediately
-  before its next owned observation and before any query routed to it.
-  Nothing can land on a shard between an echo's enqueue and that drain,
-  so the destination's sliding window is identical to the synchronous
-  schedule's and results are **bit-for-bit equivalent to synchronous
-  delivery** (property-tested) — the batching is free.
-* ``K > 0`` — *batched*: queues drain every K accepted requests, at
-  every batch-``mine`` ingest barrier, before any query routed to the
-  destination, and on an explicit :meth:`flush_echoes`. A late echo is
-  observed against the destination's window *at drain time*, so echoed
-  edges can attach to newer predecessors at compressed LDA distances.
-  The FPA lazy-query guarantee is re-stated accordingly: a query still
-  reflects every request *routed to* the owner shard (owned requests
-  plus all echoes enqueued to it, because the drain precedes the
-  query), but the echoed edges carry drain-time window geometry rather
-  than request-time geometry. ``n_shards=1``, strict isolation and all
-  owned-record mining are unaffected (echoes never exist or never
-  change meaning).
+A shard's queue drains *just in time*: immediately before its next
+owned observation, before any query routed to it, and at every
+service-wide barrier (batch ``mine``, rebalance, standby sync, an
+explicit :meth:`ShardedFarmer.flush_echoes`). Nothing can land on a
+shard between an echo's enqueue and that drain, so the destination's
+sliding window is identical to the synchronous schedule's and results
+are **bit-for-bit equivalent to synchronous delivery**
+(property-tested) — the queueing is free. The batch entry points
+(``mine``, ``ingest_stream``) place each echo inline in the
+destination's substream, which is the same order.
 
 Equivalence scope: with ``n_shards=1`` every entry point is bit-for-bit
 identical to a plain Farmer (property-tested on a 20k-record trace).
@@ -111,8 +101,8 @@ with randomized kill points, double failures and
 fail-during-``mine``); the records accepted since that barrier are the
 partition's loss window.
 
-Load-aware rebalancing (``auto_rebalance``) and idle echo drain
----------------------------------------------------------------
+Load-aware rebalancing (``auto_rebalance``)
+-------------------------------------------
 
 :meth:`ShardedFarmer.auto_rebalance` closes the loop the manual
 ``rebalance(weights=...)`` hook left open: it reads each shard's
@@ -121,11 +111,7 @@ counters ``ServiceStats`` reports), converts it into consistent-hash
 ring weights — monotone *decreasing* in load, so hot shards shed
 namespace and idle shards absorb it — and installs them through
 :meth:`ShardedFarmer.rebalance` (queries are invariant, exactly as for
-any rebalance). ``FarmerConfig.echo_idle_drain`` adds the live drain
-trigger for idle destinations: a shard whose echo queue is non-empty
-and which has seen no activity for that many accepted requests
-elsewhere has its queue drained proactively instead of waiting for its
-next owned request, query, or interval expiry.
+any rebalance).
 """
 
 from __future__ import annotations
@@ -269,22 +255,13 @@ class ShardedFarmer:
         self._prev_owner: int | None = None
         self._prev_fid: int | None = None
         self._echo_queues: list[deque[TraceRecord]] = [deque() for _ in range(n)]
-        # indexes with a non-empty queue, so the idle-drain trigger
-        # checks only candidates instead of scanning every shard
-        self._queued_shards: set[int] = set()
-        self._since_echo_flush = 0
         self._n_observed = 0
         self._n_boundary_echoes = 0
         self._n_echo_flushes = 0
         self._n_rebalances = 0
         self._n_migrated_fids = 0
-        # failover + idle-drain state: _last_active[i] is the service
-        # n_observed at shard i's last owned observation or queue drain
-        # (the idle-gap anchor); _failed holds shard indexes whose
-        # private state is lost and awaiting promotion
+        # shard indexes whose private state is lost, awaiting promotion
         self._failed: set[int] = set()
-        self._last_active: list[int] = [0] * n
-        self._n_idle_drains = 0
         self._n_echoes_dropped = 0
         # per-destination echo accounting: the online backpressure
         # policy reads these live (a hot destination shows up as a deep
@@ -328,31 +305,27 @@ class ShardedFarmer:
         """Deliver shard ``index``'s queued boundary echoes (FIFO).
 
         A failed shard is skipped (its queue is cleared at failure time
-        and enqueues to it are dropped, so this is defensive). A real
-        drain counts as shard activity for the idle-drain trigger.
+        and enqueues to it are dropped, so this is defensive).
         """
         queue = self._echo_queues[index]
         if not queue or index in self._failed:
             return
-        self._queued_shards.discard(index)
         observe_echo = self.shards[index].observe_echo
         while queue:
             observe_echo(queue.popleft())
         self._n_echo_flushes += 1
-        self._last_active[index] = self._n_observed
 
     def flush_echoes(self) -> None:
         """Drain every shard's boundary-echo queue (FIFO per shard).
 
-        Called automatically at the batch-``mine`` ingest barrier,
-        before queries (owner shard only), on interval expiry under
-        ``echo_flush_interval > 0``, and at the start of a rebalance;
-        public so a deployment can force delivery at its own sync
-        points.
+        Called automatically at the batch-``mine`` ingest barrier, at
+        the start of a rebalance or standby sync, by ``stats()``, and
+        by ``ingest_stream`` when it finds echoes queued; public so a deployment can force delivery at its own sync
+        points. Bit-neutral: a queue drained early lands on a shard
+        nothing touched since the enqueue.
         """
         for index in range(len(self.shards)):
             self._drain_shard(index)
-        self._since_echo_flush = 0
 
     @property
     def n_pending_echoes(self) -> int:
@@ -385,24 +358,16 @@ class ShardedFarmer:
     def _enqueue_echo(self, prev: int, record: TraceRecord) -> None:
         """Queue a boundary echo for the predecessor's shard.
 
-        Under the eager schedule (``lazy_reevaluation=False``) the echo
-        is delivered synchronously instead — the eager path ranks
-        entries at observation time, so deferring delivery would rank
-        echoed edges against later vector state and silently diverge
-        from the paper-literal reference. An echo destined for a
-        *failed* shard is dropped and counted (at-most-once delivery:
-        the destination that would absorb it no longer exists).
+        An echo destined for a *failed* shard is dropped and counted
+        (at-most-once delivery: the destination that would absorb it no
+        longer exists).
         """
         self._n_boundary_echoes += 1
         if prev in self._failed:
             self._n_echoes_dropped += 1
             self._echo_drops_by_dest[prev] += 1
             return
-        if not self.config.lazy_reevaluation:
-            self.shards[prev].observe_echo(record)
-            return
         self._echo_queues[prev].append(record)
-        self._queued_shards.add(prev)
 
     # ------------------------------------------------------------------
     # mining
@@ -421,12 +386,10 @@ class ShardedFarmer:
         owner = self.router.route(record.fid)
         if owner in self._failed:
             raise ShardFailedError(owner)
-        interval = self.config.echo_flush_interval
-        if interval == 0:
-            # just-in-time drain: queued echoes land before the next
-            # owned observation, preserving the synchronous window
-            # geometry bit-for-bit
-            self._drain_shard(owner)
+        # just-in-time drain: queued echoes land before the next owned
+        # observation, preserving the synchronous window geometry
+        # bit-for-bit
+        self._drain_shard(owner)
         self.shards[owner].observe(record)
         prev = self._prev_owner
         if self.config.cross_shard_edges and prev is not None and prev != owner:
@@ -436,22 +399,6 @@ class ShardedFarmer:
         self._prev_owner = owner
         self._prev_fid = record.fid
         self._n_observed += 1
-        self._last_active[owner] = self._n_observed
-        if interval > 0:
-            self._since_echo_flush += 1
-            if self._since_echo_flush >= interval:
-                self.flush_echoes()
-        idle = self.config.echo_idle_drain
-        if idle > 0 and self._queued_shards:
-            # live trigger for idle destinations: a queue whose shard
-            # has seen nothing for `idle` accepted requests drains now
-            # instead of waiting for the shard's next own event
-            n = self._n_observed
-            last_active = self._last_active
-            for dest in sorted(self._queued_shards):
-                if n - last_active[dest] >= idle:
-                    self._drain_shard(dest)
-                    self._n_idle_drains += 1
         if self._replicator is not None:
             self._since_standby_sync += 1
             if self._since_standby_sync >= self.config.standby_sync_interval:
@@ -472,14 +419,11 @@ class ShardedFarmer:
         records it owns plus, under ``cross_shard_edges``, the boundary
         requests echoed to it. Echoes still queued from a preceding
         ``observe`` stream are delivered first; this batch's echoes sit
-        inline in the destination's substream at
-        ``echo_flush_interval == 0`` (the just-in-time order —
-        bit-identical to synchronous delivery) and are appended after
-        the destination's owned records under a positive interval (the
-        ingest-barrier drain), so the flush never ranks a list that is
-        missing an enqueued echo. Unavailable while any shard is failed
-        (the batch would silently drop that partition's records) —
-        promote the standby first.
+        inline in the destination's substream (the just-in-time order —
+        bit-identical to synchronous delivery), so the flush never ranks
+        a list that is missing an enqueued echo. Unavailable while any
+        shard is failed (the batch would silently drop that partition's
+        records) — promote the standby first.
         """
         if self._failed:
             raise ShardFailedError(min(self._failed))
@@ -487,8 +431,6 @@ class ShardedFarmer:
         config = self.config
         n = config.n_shards
         subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
-        batched = config.lazy_reevaluation and config.echo_flush_interval > 0
-        tails: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
         op_filter = config.op_filter
         cross = config.cross_shard_edges
         route = self.router.route
@@ -501,29 +443,21 @@ class ShardedFarmer:
             owner = route(record.fid)
             subs[owner].append((record, False))
             if cross and prev is not None and prev != owner:
-                (tails if batched else subs)[prev].append((record, True))
+                subs[prev].append((record, True))
                 echoes += 1
             prev = owner
             last_fid = record.fid
             accepted += 1
-        if batched:
-            for sub, tail in zip(subs, tails):
-                sub.extend(tail)
         self._n_observed += accepted
         self._n_boundary_echoes += echoes
         self._prev_owner = prev
         self._prev_fid = last_fid
-        if not config.lazy_reevaluation:
-            for shard, sub in zip(self.shards, subs):
-                if sub:
-                    shard.mine_mixed(sub)
-        else:
-            changed = [
-                shard.ingest_mixed(sub) for shard, sub in zip(self.shards, subs)
-            ]
-            for shard, touched in zip(self.shards, changed):
-                if touched:
-                    shard.miner.flush_nodes(sorted(touched))
+        changed = [
+            shard.ingest_mixed(sub) for shard, sub in zip(self.shards, subs)
+        ]
+        for shard, touched in zip(self.shards, changed):
+            if touched:
+                shard.miner.flush_nodes(sorted(touched))
         if self._replicator is not None:
             self._since_standby_sync += accepted
             if self._since_standby_sync >= config.standby_sync_interval:
@@ -552,34 +486,24 @@ class ShardedFarmer:
           :class:`ShardFailedError` instead; a library caller wants the
           loud contract, a long-running service wants to keep serving.)
 
-        Echo placement is **batch-seam-independent**: at
-        ``echo_flush_interval == 0`` echoes sit inline in the
-        destination's substream (the just-in-time order), so any
+        Echo placement is **batch-seam-independent**: echoes sit inline
+        in the destination's substream (the just-in-time order), so any
         chunking of the stream is bit-identical to one batch
-        :meth:`mine` of the same records; at ``K > 0`` echoes go
-        through the per-destination queues on :meth:`observe`'s
-        accepted-request cadence — the counter spans batch seams — so
-        any chunking reproduces the record-at-a-time ``observe``
-        schedule exactly (a single :meth:`mine` places its echoes at
-        its own one-batch barrier instead, so it is *not* the K > 0
-        reference). Lists are a pure function of the end-of-stream
-        graph/vector state either way (property-tested in
+        :meth:`mine` of the same records. Lists are a pure function of
+        the end-of-stream graph/vector state (property-tested in
         ``tests/online``). Standby sync barriers keep their
         accepted-request cadence across batches.
         """
         n = len(self.shards)
         subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
-        interval = self.config.echo_flush_interval
-        lazy = self.config.lazy_reevaluation
         sync_every = self.config.standby_sync_interval
-        batched = lazy and interval > 0
-        if not batched and self._queued_shards:
+        replicator = self._replicator
+        if any(self._echo_queues):
             # leftovers queued by interleaved observe() calls are
             # delivered first so the batch starts from drained FIFO
             # state (position-safe: nothing lands on a destination in
             # between, so its window is the same now as at the next
-            # just-in-time drain). Under the K > 0 cadence the queues
-            # must keep waiting for their cadence point instead.
+            # just-in-time drain)
             self.flush_echoes()
         op_filter = self.config.op_filter
         cross = self.config.cross_shard_edges
@@ -588,7 +512,7 @@ class ShardedFarmer:
         prev = self._prev_owner
         last_fid = self._prev_fid
         accepted = 0
-        ingested = 0  # accepted records already folded (cadence chunks)
+        ingested = 0  # accepted records already folded (sync chunks)
         echoes_placed = 0
         echoes_shed = 0
         dropped_failed = 0
@@ -609,7 +533,6 @@ class ShardedFarmer:
                     for fid in shard.ingest_mixed(sub):
                         mark(fid)
                     subs[index] = []
-                    self._last_active[index] = self._n_observed
 
         for record, allow_echo in items:
             if op_filter is not None and record.op not in op_filter:
@@ -633,48 +556,24 @@ class ShardedFarmer:
                     self._n_echoes_dropped += 1
                     self._echo_drops_by_dest[prev] += 1
                 else:
-                    if batched:
-                        self._echo_queues[prev].append(record)
-                        self._queued_shards.add(prev)
-                    else:
-                        subs[prev].append((record, True))
+                    subs[prev].append((record, True))
                     echoes_placed += 1
             prev = owner
             last_fid = record.fid
             accepted += 1
-            if batched:
-                self._since_echo_flush += 1
-                if self._since_echo_flush >= interval:
-                    # the cadence point: destinations must hold their
-                    # owned records up to here before delivery, exactly
-                    # as the record-at-a-time schedule would
-                    fold_pending()
-                    self.flush_echoes()
-            if lazy and self._replicator is not None:
+            if replicator is not None:
                 self._since_standby_sync += 1
                 if self._since_standby_sync >= sync_every:
                     # per-record cadence, not per-batch: the barrier
-                    # (and the echo flush inside it, which resets the
-                    # echo cadence) must land at exactly the accepted
-                    # count the record-at-a-time schedule would pick
+                    # must land at exactly the accepted count the
+                    # record-at-a-time schedule would pick
                     fold_pending()
                     self.sync_standbys()
-        if not lazy:
-            self._n_observed += accepted
-            for index, (shard, sub) in enumerate(zip(self.shards, subs)):
-                if sub:
-                    shard.mine_mixed(sub)
-                    self._last_active[index] = self._n_observed
-        else:
-            fold_pending()
+        fold_pending()
         self._n_echoes_shed += echoes_shed
         self._prev_owner = prev
         if last_fid is not None:
             self._prev_fid = last_fid
-        if not lazy and self._replicator is not None:
-            self._since_standby_sync += accepted
-            if self._since_standby_sync >= sync_every:
-                self.sync_standbys()
         return StreamIngestReport(
             n_accepted=accepted,
             n_echoes_placed=echoes_placed,
@@ -809,7 +708,6 @@ class ShardedFarmer:
             n_echo_flushes=self._n_echo_flushes,
             n_rebalances=self._n_rebalances,
             n_migrated_fids=self._n_migrated_fids,
-            n_idle_drains=self._n_idle_drains,
             n_echoes_dropped=self._n_echoes_dropped,
             n_failovers=self._n_failovers,
             n_standby_syncs=replicator.n_barriers if replicator else 0,
@@ -931,9 +829,6 @@ class ShardedFarmer:
             self.shards = tuple(shards)
             self._echo_queues.extend(deque() for _ in range(new_n - old_n))
             self._echo_drops_by_dest.extend(0 for _ in range(new_n - old_n))
-            self._last_active.extend(
-                self._n_observed for _ in range(new_n - old_n)
-            )
         old_route = self.router.route
         n_owned = 0
         n_migrated = 0
@@ -971,7 +866,6 @@ class ShardedFarmer:
             self.shards = self.shards[:new_n]
             del self._echo_queues[new_n:]
             del self._echo_drops_by_dest[new_n:]
-            del self._last_active[new_n:]
         self.router = router
         self.config = self.config.with_(n_shards=new_n, shard_policy=new_policy)
         # re-seed boundary detection under the new topology, exactly as
@@ -1164,7 +1058,6 @@ class ShardedFarmer:
         # in-flight echoes die with the destination
         dropped = len(self._echo_queues[index])
         self._echo_queues[index].clear()
-        self._queued_shards.discard(index)
         self._n_echoes_dropped += dropped
         self._echo_drops_by_dest[index] += dropped
         shards = list(self.shards)
@@ -1201,7 +1094,6 @@ class ShardedFarmer:
         shards[index] = replica.farmer
         self.shards = tuple(shards)
         self._failed.discard(index)
-        self._last_active[index] = self._n_observed
         # the promoted Farmer's counters restart at the standby's values
         # (below the failed primary's mark) — re-mark so the next
         # auto_rebalance window for this shard starts at zero, not at a
@@ -1240,11 +1132,6 @@ class ShardedFarmer:
     def n_failovers(self) -> int:
         """Promotions performed so far."""
         return self._n_failovers
-
-    @property
-    def n_idle_drains(self) -> int:
-        """Echo-queue drains triggered by the idle-shard rule."""
-        return self._n_idle_drains
 
     @property
     def n_echoes_dropped(self) -> int:

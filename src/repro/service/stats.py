@@ -70,8 +70,6 @@ class ServiceStats:
         n_rebalances: topology changes applied via ``rebalance()``.
         n_migrated_fids: fids whose graph node + ranked list were
             shipped between shards across all rebalances.
-        n_idle_drains: echo-queue drains triggered by the idle-shard
-            rule (``FarmerConfig.echo_idle_drain``).
         n_echoes_dropped: boundary echoes lost to failed destinations
             (in-flight at failure time or enqueued while down).
         n_failovers: standby promotions performed.
@@ -103,7 +101,6 @@ class ServiceStats:
     n_echo_flushes: int = 0
     n_rebalances: int = 0
     n_migrated_fids: int = 0
-    n_idle_drains: int = 0
     n_echoes_dropped: int = 0
     n_failovers: int = 0
     n_standby_syncs: int = 0

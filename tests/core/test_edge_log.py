@@ -1,15 +1,19 @@
 """The lazy schedule's edge log: deferred edge refreshes are exact.
 
-Under ``lazy_reevaluation`` a request's reinforced predecessor edges are
-not refreshed on the request: ``CoMiner.defer_edge`` drops the refresh
-for a dirty list and logs its inputs for a clean one, and the log is
-replayed on the next read of a list that was not rebuilt first. The
-reference is the same miner with ``defer_edge`` bound to the immediate
-``reevaluate_edge``; every query answer must match it bit for bit, on
-any schedule of observes, batch mines, queries of arbitrary files, raw
-list reads, snapshots and flushes — across re-rank kernels, Function-2
-weights and a 2-shard service with rebalance and standby sync.
+A request's reinforced predecessor edges are not refreshed on the
+request: ``CoMiner.defer_edge`` drops the refresh for a dirty list and
+logs its inputs for a clean one, and the log is replayed on the next
+read of a list that was not rebuilt first. The reference is the same
+miner with ``defer_edge`` bound to the immediate refresh
+(``tests.oracle.refresh_edge``); every query answer must match it bit
+for bit, on any schedule of observes, batch mines, queries of arbitrary
+files, raw list reads, snapshots and flushes — on the production
+re-rank and the entrywise reference kernel, across Function-2 weights
+and on a 2-shard service with rebalance and standby sync.
 """
+
+from contextlib import nullcontext
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +25,9 @@ from repro.durability.snapshot import latest_snapshot, load_snapshot, write_snap
 from repro.graph.correlator_list import CorrelatorList
 from repro.service.sharded import ShardedFarmer
 from tests.conftest import generate_trace, make_record, sequence_records
+from tests.oracle import entrywise_kernel, refresh_edge
 
-KERNELS = ["bulk", "entrywise"]
+KERNELS = {"production": nullcontext, "entrywise": entrywise_kernel}
 
 FIDS = range(5)
 _PATHS = (None, "/a/b/c", "/a/b/d", "/a/a/b", "/x/a/b/c")
@@ -58,7 +63,7 @@ _service_steps = st.lists(
 def _eager_edges(farmers) -> None:
     """Bind each miner's ``defer_edge`` to the immediate refresh."""
     for farmer in farmers:
-        farmer.miner.defer_edge = farmer.miner.reevaluate_edge
+        farmer.miner.defer_edge = partial(refresh_edge, farmer.miner)
 
 
 def _miners_of(service: ShardedFarmer):
@@ -116,13 +121,12 @@ def _run(steps, under_test, ref, miners_of) -> None:
 _shape = st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([2, 32]))
 
 
-def _config(kernel, weight_p, shape, **service) -> FarmerConfig:
+def _config(weight_p, shape, **service) -> FarmerConfig:
     window, successor_capacity = shape
     return FarmerConfig(
         max_strength=0.0,
         correlator_capacity=3,
         weight_p=weight_p,
-        rerank_kernel=kernel,
         window=window,
         successor_capacity=successor_capacity,
         **service,
@@ -133,22 +137,23 @@ class TestReplayExactness:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         steps=_farmer_steps,
-        kernel=st.sampled_from(KERNELS),
+        kernel=st.sampled_from(sorted(KERNELS)),
         weight_p=st.sampled_from([0.0, 0.7, 1.0]),
         shape=_shape,
     )
     def test_farmer_matches_immediate_refresh(
         self, steps, kernel, weight_p, shape
     ):
-        config = _config(kernel, weight_p, shape)
+        config = _config(weight_p, shape)
         under_test, ref = Farmer(config), Farmer(config)
         _eager_edges([ref])
-        _run(steps, under_test, ref, lambda f: [f.miner])
+        with KERNELS[kernel]():
+            _run(steps, under_test, ref, lambda f: [f.miner])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         steps=_service_steps,
-        kernel=st.sampled_from(KERNELS),
+        kernel=st.sampled_from(sorted(KERNELS)),
         weight_p=st.sampled_from([0.0, 0.7, 1.0]),
         shape=_shape,
     )
@@ -156,18 +161,18 @@ class TestReplayExactness:
         self, steps, kernel, weight_p, shape
     ):
         config = _config(
-            kernel, weight_p, shape,
-            n_shards=2, replication=True, standby_sync_interval=5,
+            weight_p, shape, n_shards=2, replication=True, standby_sync_interval=5
         )
         under_test, ref = ShardedFarmer(config), ShardedFarmer(config)
         _eager_edges(ref.shards)
-        _run(steps, under_test, ref, _miners_of)
+        with KERNELS[kernel]():
+            _run(steps, under_test, ref, _miners_of)
 
 
 class TestObservePath:
     def test_observe_consults_no_cache(self):
-        """Under lazy re-evaluation a request runs no Function 1: the
-        evaluation count stays put until something is queried."""
+        """A request runs no Function 1: the evaluation count stays put
+        until something is queried."""
         farmer = Farmer(FarmerConfig(max_strength=0.0))
         records = sequence_records([1, 2, 3, 1, 4, 2] * 10, path="/p/x")
         farmer.observe(records[0])

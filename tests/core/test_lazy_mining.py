@@ -3,9 +3,10 @@
 The refactored hot path defers the full Algorithm-1 re-rank to the first
 query of a dirty Correlator List. These tests pin the contract:
 
-* query results are bit-identical to the eager per-request schedule when
-  queries follow the triggering request (the FPA pattern) — property-
-  tested over a 20k-record synthetic trace;
+* query results are bit-identical to the eager per-request schedule
+  (``tests.oracle.eager_observe``) when queries follow the triggering
+  request (the FPA pattern) — property-tested over a 20k-record
+  synthetic trace;
 * a stale cached similarity is never served after a vector change;
 * the batched ``mine()`` fast path agrees with an ``observe()`` loop.
 """
@@ -17,13 +18,15 @@ from repro.core.farmer import Farmer
 from repro.traces.synthetic import generate_trace
 from repro.vsm.similarity import similarity
 from tests.conftest import make_record, sequence_records
+from tests.oracle import eager_observe
 
 
 def lazy_eager_pair(**kwargs) -> tuple[Farmer, Farmer]:
+    """Two identically-configured farmers: the first is fed through
+    ``observe``, the second is meant to be fed through
+    :func:`eager_observe`."""
     cfg = FarmerConfig(**kwargs)
-    return Farmer(cfg.with_(lazy_reevaluation=True)), Farmer(
-        cfg.with_(lazy_reevaluation=False)
-    )
+    return Farmer(cfg), Farmer(cfg)
 
 
 class TestEagerLazyEquivalence:
@@ -36,7 +39,7 @@ class TestEagerLazyEquivalence:
         seen: set[int] = set()
         for i, record in enumerate(trace):
             lazy.observe(record)
-            eager.observe(record)
+            eager_observe(eager, record)
             seen.add(record.fid)
             # the FPA query pattern: ask about the file just requested
             assert lazy.correlators(record.fid) == eager.correlators(record.fid)
@@ -58,7 +61,7 @@ class TestEagerLazyEquivalence:
         )
         for record in trace:
             lazy.observe(record)
-            eager.observe(record)
+            eager_observe(eager, record)
             assert lazy.predict(record.fid) == eager.predict(record.fid)
 
     def test_equivalence_without_cache(self):
@@ -68,7 +71,7 @@ class TestEagerLazyEquivalence:
         lazy, eager = lazy_eager_pair(max_strength=0.3)
         for record in trace:
             lazy.observe(record)
-            eager.observe(record)
+            eager_observe(eager, record)
             assert lazy.correlators(record.fid) == eager.correlators(record.fid)
 
 
@@ -92,10 +95,13 @@ class TestDirtyProtocol:
         assert farmer.miner.n_dirty() == 0
 
     def test_eager_mode_never_dirty(self):
-        farmer = Farmer(FarmerConfig(max_strength=0.0, lazy_reevaluation=False))
+        """The eager reference ranks on every request, so it never
+        leaves a list dirty or an edge logged."""
+        farmer = Farmer(FarmerConfig(max_strength=0.0))
         for r in sequence_records([1, 2, 3] * 4):
-            farmer.observe(r)
+            eager_observe(farmer, r)
         assert farmer.miner.n_dirty() == 0
+        assert farmer.miner._edge_log == {}
 
     def test_query_unknown_fid(self):
         farmer = Farmer()

@@ -1,9 +1,9 @@
-"""The one-pass re-rank kernel: bulk vs entrywise.
+"""The one-pass re-rank against the entrywise reference kernel.
 
-The acceptance property for the re-rank kernels: over a randomized
-20k-record synthetic trace, a Farmer on the bulk kernel (incremental
-stamps on *and* off) returns bit-identical query results to the
-entry-by-entry reference path, under both the lazy and the eager
+The acceptance property for the re-rank: over a randomized 20k-record
+synthetic trace, a production Farmer (stamped one-pass re-rank) returns
+bit-identical query results to the entry-by-entry, stamp-free reference
+(``tests.oracle.entrywise_kernel``), under both the lazy and the eager
 schedule — while doing measurably less work (no insorts during
 re-ranks, fewer Function-1 evaluations).
 """
@@ -14,155 +14,128 @@ from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
 from repro.traces.synthetic import generate_trace
 from tests.conftest import make_record
-
-KERNELS = {
-    "bulk+stamps": dict(rerank_kernel="bulk", incremental_rerank=True),
-    "bulk": dict(rerank_kernel="bulk", incremental_rerank=False),
-    "entrywise": dict(rerank_kernel="entrywise"),
-}
+from tests.oracle import eager_observe, entrywise_kernel
 
 
-def farmers_for(**common):
-    return {k: Farmer(FarmerConfig(**common, **kw)) for k, kw in KERNELS.items()}
+def production_and_reference(**common) -> tuple[Farmer, Farmer]:
+    """Two identically-configured farmers: the first runs the production
+    re-rank, the second is meant to be driven under
+    :func:`entrywise_kernel`."""
+    config = FarmerConfig(**common)
+    return Farmer(config), Farmer(config)
 
 
 class TestKernelEquivalence:
     def test_20k_trace_equivalence_lazy(self, synthetic_trace):
-        """Acceptance property (lazy schedule): bulk (stamps on and
-        off) and entrywise agree at every query point of a 20k trace."""
+        """Acceptance property (lazy schedule): production and entrywise
+        agree at every query point of a 20k trace."""
         trace = synthetic_trace("hp", 20_000, seed=23)
-        farmers = farmers_for(max_strength=0.3)
-        ref = farmers["entrywise"]
+        prod, ref = production_and_reference(max_strength=0.3)
         seen: set[int] = set()
         for i, record in enumerate(trace):
-            for f in farmers.values():
-                f.observe(record)
+            prod.observe(record)
             seen.add(record.fid)
-            expected = ref.correlators(record.fid)
-            for name, f in farmers.items():
-                if f is not ref:
-                    assert f.correlators(record.fid) == expected, (name, i)
+            with entrywise_kernel():
+                ref.observe(record)
+                expected = ref.correlators(record.fid)
+            assert prod.correlators(record.fid) == expected, i
             if i % 4000 == 3999:
                 for fid in seen:
-                    expected = ref.correlators(fid)
-                    for f in farmers.values():
-                        assert f.correlators(fid) == expected
-        snaps = {k: f.snapshot() for k, f in farmers.items()}
-        assert snaps["bulk+stamps"] == snaps["entrywise"]
-        assert snaps["bulk"] == snaps["entrywise"]
+                    with entrywise_kernel():
+                        expected = ref.correlators(fid)
+                    assert prod.correlators(fid) == expected
+        with entrywise_kernel():
+            expected = ref.snapshot()
+        assert prod.snapshot() == expected
 
     def test_eager_schedule_equivalence(self):
         """Same property under the paper's literal per-request
-        schedule (lazy_reevaluation=False)."""
+        schedule (``tests.oracle.eager_observe``)."""
         trace = generate_trace("hp", 6_000, seed=7)
-        farmers = farmers_for(max_strength=0.3, lazy_reevaluation=False)
-        ref = farmers["entrywise"]
+        prod, ref = production_and_reference(max_strength=0.3)
         for record in trace:
-            for f in farmers.values():
-                f.observe(record)
-            expected = ref.predict(record.fid)
-            assert all(
-                f.predict(record.fid) == expected for f in farmers.values()
-            )
+            eager_observe(prod, record)
+            with entrywise_kernel():
+                eager_observe(ref, record)
+                expected = ref.predict(record.fid)
+            assert prod.predict(record.fid) == expected
 
     def test_batch_mine_equivalence(self):
         """Chunked batch mining (the incremental service pattern, where
         the stamps actually skip work) stays bit-identical."""
         trace = generate_trace("hp", 8_000, seed=5)
-        farmers = farmers_for(max_strength=0.3)
+        prod, ref = production_and_reference(max_strength=0.3)
         for start in range(0, len(trace), 250):
-            for f in farmers.values():
-                f.mine(trace[start : start + 250])
-        ref = farmers["entrywise"]
+            prod.mine(trace[start : start + 250])
+            with entrywise_kernel():
+                ref.mine(trace[start : start + 250])
         fids = set(ref.constructor.graph.nodes())
-        for f in farmers.values():
-            assert set(f.constructor.graph.nodes()) == fids
+        assert set(prod.constructor.graph.nodes()) == fids
         for fid in fids:
-            expected = ref.correlators(fid)
-            for f in farmers.values():
-                assert f.correlators(fid) == expected
+            with entrywise_kernel():
+                expected = ref.correlators(fid)
+            assert prod.correlators(fid) == expected
         # the stamps must have skipped at least some unchanged entries
         # (window-straddling predecessors across chunk boundaries)
-        assert (
-            farmers["bulk+stamps"].rerank_stats().entries_skipped_unchanged > 0
-        )
-        assert farmers["bulk"].rerank_stats().entries_skipped_unchanged == 0
+        assert prod.rerank_stats().entries_skipped_unchanged > 0
+        assert ref.rerank_stats().entries_skipped_unchanged == 0
 
     def test_small_capacity_overflow_equivalence(self):
         """The capacity cut is where ranking paths could diverge; pin
         equality under heavy list overflow (capacity 2, threshold 0)."""
         trace = generate_trace("hp", 4_000, seed=13)
-        farmers = farmers_for(max_strength=0.0, correlator_capacity=2)
-        ref = farmers["entrywise"]
+        prod, ref = production_and_reference(
+            max_strength=0.0, correlator_capacity=2
+        )
         for record in trace:
-            for f in farmers.values():
-                f.observe(record)
-            expected = ref.correlators(record.fid)
-            assert all(
-                f.correlators(record.fid) == expected for f in farmers.values()
-            )
+            prod.observe(record)
+            with entrywise_kernel():
+                ref.observe(record)
+                expected = ref.correlators(record.fid)
+            assert prod.correlators(record.fid) == expected
+
+
+def _fpa(farmer: Farmer, trace) -> Farmer:
+    for record in trace:
+        farmer.observe(record)
+        farmer.predict(record.fid)
+    return farmer
 
 
 class TestOpCounts:
     def test_bulk_rerank_never_insorts(self):
-        """Re-ranks on the bulk kernel cost zero binary insertions; the
+        """Production re-ranks cost zero binary insertions; the
         entrywise reference pays one per scanned entry."""
         trace = generate_trace("hp", 3_000, seed=3)
-        farmers = farmers_for(max_strength=0.3)
-        for record in trace:
-            for f in farmers.values():
-                f.observe(record)
-                f.predict(record.fid)
-        bulk = farmers["bulk+stamps"].rerank_stats()
-        entry = farmers["entrywise"].rerank_stats()
+        prod, ref = production_and_reference(max_strength=0.3)
+        _fpa(prod, trace)
+        with entrywise_kernel():
+            _fpa(ref, trace)
+        bulk = prod.rerank_stats()
+        entry = ref.rerank_stats()
         assert bulk.n_reevaluations == entry.n_reevaluations
         assert bulk.entries_scanned == entry.entries_scanned
-        # bulk insorts come only from the eager single-edge refreshes
+        # production insorts come only from edge-log replays
         assert bulk.insort_ops < entry.insort_ops / 2
 
     def test_stamps_cut_function1_requests(self):
         """With stable vectors, the per-entry stamps reuse most
-        similarities instead of re-evaluating Function 1."""
+        similarities instead of re-evaluating Function 1 (the entrywise
+        reference counts Function 1 once per scanned pair, as a
+        stamp-free re-rank does)."""
         trace = generate_trace("hp", 4_000, seed=9)
-
-        def fpa(with_stamps: bool) -> Farmer:
-            f = Farmer(
-                FarmerConfig(
-                    vector_freeze_threshold=8, incremental_rerank=with_stamps
-                )
-            )
-            for record in trace:
-                f.observe(record)
-                f.predict(record.fid)
-            return f
-
-        stamped = fpa(True)
-        plain = fpa(False)
+        stamped, plain = production_and_reference(vector_freeze_threshold=8)
+        _fpa(stamped, trace)
+        with entrywise_kernel():
+            _fpa(plain, trace)
         # identical outputs...
         fids = set(stamped.constructor.graph.nodes())
         for fid in fids:
-            assert stamped.correlators(fid) == plain.correlators(fid)
+            with entrywise_kernel():
+                expected = plain.correlators(fid)
+            assert stamped.correlators(fid) == expected
         # ...with far fewer Function-1 evaluations
         assert stamped.f1_evaluations() < plain.f1_evaluations() / 2
-
-    def test_semantic_distances_batch_kernel(self):
-        """The batch kernel answers a whole successor set in one pass,
-        agreeing with the single-pair path and counting one evaluation
-        per destination that has a vector."""
-        trace = generate_trace("hp", 1_000, seed=4)
-        farmer = Farmer()
-        for record in trace:
-            farmer.observe(record)
-        src = trace[0].fid
-        dsts = list(farmer.constructor.graph.successors(src)) + [999_999]
-        before = farmer.f1_evaluations()
-        batch = farmer.miner.semantic_distances(src, dsts)
-        assert farmer.f1_evaluations() - before == len(dsts) - 1
-        assert len(batch) == len(dsts)
-        assert batch == [farmer.semantic_distance(src, d) for d in dsts]
-        assert batch[-1] == 0.0  # unseen fid
-        # unseen source: all zeros
-        assert farmer.miner.semantic_distances(888_888, dsts) == [0.0] * len(dsts)
 
     def test_rerank_stats_exposed_via_farmer_stats(self):
         farmer = Farmer()
@@ -192,12 +165,6 @@ class TestStampCorrectness:
         assert after[2] == pytest.approx(farmer.correlation_degree(1, 2))
         assert after[2] != before[2]
 
-    def test_config_validates_kernel_name(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            FarmerConfig(rerank_kernel="quantum")
-
 
 def _assert_second_rank_skips_whole_list(config: FarmerConfig) -> None:
     """mine → dirty+query (primes the skip state) → dirty+query again:
@@ -225,11 +192,9 @@ def _assert_second_rank_skips_whole_list(config: FarmerConfig) -> None:
 
 class TestFullSkip:
     def test_bulk_whole_list_epoch_skip(self):
-        """The bulk kernel's (tick, epoch) stamp proves the whole list
+        """The re-rank's (tick, epoch) stamp proves the whole list
         unchanged and skips the scan."""
-        _assert_second_rank_skips_whole_list(
-            FarmerConfig(rerank_kernel="bulk", incremental_rerank=True)
-        )
+        _assert_second_rank_skips_whole_list(FarmerConfig())
 
     def test_skip_invalidated_by_vector_churn(self):
         """A vector-store epoch move disarms the full skip: the next
@@ -250,28 +215,24 @@ class TestFullSkip:
         assert after_list[2] == pytest.approx(farmer.correlation_degree(1, 2))
 
 
-def _stamped_and_plain(**common) -> tuple[Farmer, Farmer]:
-    return (
-        Farmer(FarmerConfig(rerank_kernel="bulk", **common)),
-        Farmer(
-            FarmerConfig(rerank_kernel="bulk", incremental_rerank=False, **common)
-        ),
-    )
-
-
 class TestStampReuseEquivalence:
     def test_vector_churn_interleaved_queries(self):
         """Per-entry stamp reuse under the churny "latest" policy stays
-        bit-identical to the stamp-free bulk oracle at every query."""
+        bit-identical to the stamp-free entrywise oracle at every
+        query."""
         trace = generate_trace("hp", 6_000, seed=29)
-        fa, fb = _stamped_and_plain(
+        fa, fb = production_and_reference(
             max_strength=0.0, sv_policy="latest", weight_p=0.9
         )
         for i, record in enumerate(trace):
             fa.observe(record)
-            fb.observe(record)
-            assert fa.correlators(record.fid) == fb.correlators(record.fid), i
-        assert fa.snapshot() == fb.snapshot()
+            with entrywise_kernel():
+                fb.observe(record)
+                expected = fb.correlators(record.fid)
+            assert fa.correlators(record.fid) == expected, i
+        with entrywise_kernel():
+            expected = fb.snapshot()
+        assert fa.snapshot() == expected
 
     @pytest.mark.parametrize(
         "overrides",
@@ -289,32 +250,56 @@ class TestStampReuseEquivalence:
         mode) or degenerate the Function-2 blend still agree with the
         stamp-free oracle."""
         trace = generate_trace("hp", 3_000, seed=31)
-        fa, fb = _stamped_and_plain(max_strength=0.0, **overrides)
+        fa, fb = production_and_reference(max_strength=0.0, **overrides)
         for i, record in enumerate(trace):
             fa.observe(record)
-            fb.observe(record)
-            assert fa.predict(record.fid) == fb.predict(record.fid), i
+            with entrywise_kernel():
+                fb.observe(record)
+                expected = fb.predict(record.fid)
+            assert fa.predict(record.fid) == expected, i
         fids = set(fb.constructor.graph.nodes())
         assert set(fa.constructor.graph.nodes()) == fids
         for fid in fids:
-            assert fa.correlators(fid) == fb.correlators(fid)
+            with entrywise_kernel():
+                expected = fb.correlators(fid)
+            assert fa.correlators(fid) == expected
 
 
 class TestWideNodes:
     def test_wide_nodes_end_to_end(self):
         """High successor capacity with a tight list capacity drives
-        the bulk rebuild's heap partial-select (d >= 64); the lists
+        the one-pass rebuild's heap partial-select (d >= 64); the lists
         must still match the entrywise reference."""
         trace = generate_trace("hp", 12_000, seed=37)
-        common = dict(
+        fa, fb = production_and_reference(
             max_strength=0.0, successor_capacity=256, correlator_capacity=8
         )
-        fa = Farmer(FarmerConfig(rerank_kernel="bulk", **common))
-        fb = Farmer(FarmerConfig(rerank_kernel="entrywise", **common))
         fa.mine(trace)
-        fb.mine(trace)
+        with entrywise_kernel():
+            fb.mine(trace)
         node_map = fa.constructor.graph.node_map()
         widest = max(len(n.succ_fids) for n in node_map.values())
         assert widest >= 64  # the partial-select path engaged
         for fid in fb.constructor.graph.nodes():
-            assert fa.correlators(fid) == fb.correlators(fid)
+            with entrywise_kernel():
+                expected = fb.correlators(fid)
+            assert fa.correlators(fid) == expected
+
+
+class TestMemoAccounting:
+    @pytest.mark.parametrize("trace_name", ["hp", "ins"])
+    def test_memo_is_the_only_footprint_difference(self, trace_name):
+        """On a one-shot ``mine`` the re-rank memo (``memo_bytes``: the
+        entry stamps and ranked epochs) is all that separates the
+        production footprint from the stamp-free reference's — the
+        quantity Table 4 subtracts."""
+        from repro.experiments.common import farmer_config_for
+
+        trace = generate_trace(trace_name, 2_500, seed=1)
+        config = farmer_config_for(trace_name, max_strength=0.4)
+        prod = Farmer(config).mine(trace)
+        with entrywise_kernel():
+            ref = Farmer(config).mine(trace)
+        assert prod.miner.memo_bytes() > 0
+        assert ref.miner.memo_bytes() == 0
+        assert ref.memory_bytes() == prod.memory_bytes() - prod.miner.memo_bytes()

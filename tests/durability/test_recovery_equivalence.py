@@ -10,9 +10,8 @@ alone. Crash points, checkpoint barriers and partial drains are
 randomized per (router, replication) cell; torn WAL tails get their own
 case. The reference is a fresh ``ShardedFarmer`` fed the durable prefix
 through the ordinary ingest seam, flushing echoes at the same barriers
-the durable run checkpointed at (bit-neutral at the just-in-time echo
-interval 0; load-bearing under a batched interval, which has its own
-case below).
+the durable run checkpointed at (bit-neutral: echoes drain just in
+time).
 """
 
 import random
@@ -186,23 +185,6 @@ def test_corrupt_newest_snapshot_falls_back_and_replays_more(tmp_path):
     assert report.wal_replayed == 2_600
     reference = reference_at(cfg, records, 3_600, [1_000, 2_500])
     assert_bit_identical(online, reference, records[:3_600])
-
-
-def test_recovery_with_batched_echo_interval(tmp_path):
-    """Under echo_flush_interval K>0 checkpoint barriers are schedule
-    events (each flushes the pending echo queues); the reference must
-    flush at the same accepted counts, and then recovery reproduces the
-    batched schedule exactly — cadence counters travel in the
-    snapshot."""
-    records = cached_trace("hp", 4_000, 13)
-    cfg = FarmerConfig(
-        n_shards=4, max_strength=0.3, echo_flush_interval=64
-    )
-    run_and_crash(tmp_path, cfg, records, 3_500, [1_200, 2_400])
-    online, report = recover(tmp_path, cfg)
-    assert report.durable_seq == 3_500
-    reference = reference_at(cfg, records, 3_500, [1_200, 2_400])
-    assert_bit_identical(online, reference, records[:3_500])
 
 
 def test_fresh_data_dir_recovers_to_empty(tmp_path):

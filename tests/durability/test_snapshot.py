@@ -146,20 +146,30 @@ class TestConfigMismatch:
 
     def test_snapshot_with_removed_fields_is_refused(self, tmp_path, records):
         """A data directory written while the config still had the
-        similarity-cache fields is refused by name, not skipped: the
-        manifest format is unchanged, so the snapshot stays readable
-        and the config check is what stops the restore."""
+        similarity-cache fields, or the fields that selected the
+        reference mining schedules and the batched/idle echo drains, is
+        refused by name, not skipped: the manifest format is unchanged,
+        so the snapshot stays readable and the config check is what
+        stops the restore."""
+        removed = {
+            "sim_cache_capacity": 65536,
+            "shared_sim_cache": True,
+            "lazy_reevaluation": True,
+            "rerank_kernel": "bulk",
+            "incremental_rerank": True,
+            "echo_flush_interval": 0,
+            "echo_idle_drain": 0,
+        }
         manager = DurabilityManager(tmp_path)
         manager.checkpoint(build_service(CFG, records[:1_000]), 1_000)
         manifest_path = latest_snapshot(manager.snapshot_dir) / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["sim_cache_capacity"] = 65536
-        manifest["config"]["shared_sim_cache"] = True
+        manifest["config"].update(removed)
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotMismatchError) as excinfo:
             DurabilityManager(tmp_path).recover(CFG)
-        assert "sim_cache_capacity" in str(excinfo.value)
-        assert "shared_sim_cache" in str(excinfo.value)
+        for field in removed:
+            assert field in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "legacy, needle",

@@ -78,40 +78,11 @@ class TestDrainEquivalence:
         batch = ShardedFarmer(cfg).mine(records)
         assert_bit_identical(online, batch, records)
 
-    def test_equivalence_with_batched_echo_interval(self, router):
-        """Under the deferred echo drain schedule (echo_flush_interval
-        K>0) the reference is the record-at-a-time ``observe`` loop:
-        the cadence counter spans batch seams, so chunked online
-        ingestion reproduces it exactly. (A single ``mine()`` places
-        its echoes at its own one-batch barrier instead — a different,
-        equally valid schedule — so it is the reference only at the
-        just-in-time interval 0 the other tests pin.)"""
-        records = cached_trace("hp", 6_000, 13)
-        cfg = self.config(router, echo_flush_interval=64)
-        online = OnlineService(
-            cfg,
-            policy=AdmissionPolicy(
-                capacity=8_192, echo_watermark=1.0, defer_watermark=1.0
-            ),
-            batch_size=100,
-        )
-        for record in records:
-            assert online.offer(record) is Admission.ACCEPTED
-        online.drain()
-        reference = ShardedFarmer(cfg)
-        for record in records:
-            reference.observe(record)
-        reference.flush_echoes()  # drain() delivered the online side's
-        assert online.service.n_boundary_echoes == reference.n_boundary_echoes
-        assert_bit_identical(online, reference, records)
-
 
 class TestIngestStreamEquivalence:
-    """The seam underneath: chunked ingest_stream reproduces the
-    reference schedule of its configured interval — one batch ``mine``
-    at the just-in-time interval 0, the record-at-a-time ``observe``
-    loop under a positive interval (whose accepted-request cadence the
-    stream carries across batch seams)."""
+    """The seam underneath: chunked ingest_stream reproduces both
+    reference schedules — one batch ``mine`` and the record-at-a-time
+    ``observe`` loop — whatever the batch seams."""
 
     def stream_chunked(self, cfg, records, chunk=97):
         streamed = ShardedFarmer(cfg)
@@ -138,9 +109,7 @@ class TestIngestStreamEquivalence:
 
     def test_multi_batch_ingest_matches_observe_cadence(self):
         records = cached_trace("hp", 6_000, 13)
-        cfg = FarmerConfig(
-            n_shards=4, max_strength=0.3, echo_flush_interval=64
-        )
+        cfg = FarmerConfig(n_shards=4, max_strength=0.3)
         streamed = self.stream_chunked(cfg, records)
         reference = ShardedFarmer(cfg)
         for record in records:
@@ -150,12 +119,10 @@ class TestIngestStreamEquivalence:
         self.assert_same_answers(streamed, reference, records)
 
     def test_chunking_is_batch_size_independent(self):
-        """The cadence property in one line: two different batch
-        shapes of the same stream land on identical state."""
+        """The seam property in one line: two different batch shapes of
+        the same stream land on identical state."""
         records = cached_trace("hp", 3_000, 13)
-        cfg = FarmerConfig(
-            n_shards=4, max_strength=0.3, echo_flush_interval=64
-        )
+        cfg = FarmerConfig(n_shards=4, max_strength=0.3)
         a = self.stream_chunked(cfg, records, chunk=97)
         b = self.stream_chunked(cfg, records, chunk=512)
         self.assert_same_answers(a, b, records)

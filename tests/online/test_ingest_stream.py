@@ -129,17 +129,12 @@ class TestFailedShardDegradation:
 
 
 class TestPerDestinationQueueDepths:
-    """The queues fill under a positive flush interval on both ingest
-    paths (``ingest_stream`` shares ``observe``'s accepted-request
-    cadence, so its echoes queue and wait for the cadence point too)."""
+    """The queue depths report the echoes still waiting for their
+    destination: after an ``observe`` loop, the last boundary request's
+    echo (its destination has not been touched since)."""
 
     def make_queued(self):
-        cfg = FarmerConfig(
-            n_shards=2,
-            max_strength=0.0,
-            weight_p=0.0,
-            echo_flush_interval=100,  # batched: queues actually fill
-        )
+        cfg = FarmerConfig(n_shards=2, max_strength=0.0, weight_p=0.0)
         service = ShardedFarmer(cfg)
         for r in boundary_trace(8):
             service.observe(r)
@@ -147,49 +142,13 @@ class TestPerDestinationQueueDepths:
 
     def test_depths_track_batched_echo_queues(self):
         service = self.make_queued()
-        depths = service.echo_queue_depths
-        assert len(depths) == 2
-        assert sum(depths) == 7  # every transition queued, none drained
+        # the last record (fid 3) owns shard 1 and echoed to shard 0
+        assert service.echo_queue_depths == (1, 0)
         service.flush_echoes()
         assert service.echo_queue_depths == (0, 0)
 
     def test_stats_capture_depths_before_the_rollup_drain(self):
         service = self.make_queued()
         stats = service.stats()
-        assert sum(stats.echo_queue_depths) == 7  # as the caller found it
+        assert stats.echo_queue_depths == (1, 0)  # as the caller found it
         assert service.echo_queue_depths == (0, 0)  # the rollup drained
-
-    def test_ingest_stream_queues_until_the_cadence_point(self):
-        """8 accepted records under interval 100: the cadence point is
-        not reached, so every placed echo is still queued afterwards —
-        exactly what the ``observe`` loop would leave behind."""
-        cfg = FarmerConfig(
-            n_shards=2,
-            max_strength=0.0,
-            weight_p=0.0,
-            echo_flush_interval=100,
-        )
-        service = ShardedFarmer(cfg)
-        report = service.ingest_stream((r, True) for r in boundary_trace(8))
-        assert report.n_echoes_placed == 7
-        assert sum(service.echo_queue_depths) == 7
-
-    def test_ingest_stream_flushes_on_interval_expiry(self):
-        """The cadence fires mid-stream and spans batch seams: 10
-        accepted records under interval 6 deliver the first 5 queued
-        echoes at the 6th record, wherever the batch boundaries fall."""
-        cfg = FarmerConfig(
-            n_shards=2,
-            max_strength=0.0,
-            weight_p=0.0,
-            echo_flush_interval=6,
-        )
-        service = ShardedFarmer(cfg)
-        records = boundary_trace(10)
-        service.ingest_stream((r, True) for r in records[:4])
-        assert sum(service.echo_queue_depths) == 3
-        service.ingest_stream((r, True) for r in records[4:])
-        # one flush at the 6th accepted record delivered echoes 2..6;
-        # records 7..10 each queued one since
-        assert sum(service.echo_queue_depths) == 4
-        assert service.n_boundary_echoes == 9

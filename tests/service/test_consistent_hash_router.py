@@ -126,8 +126,6 @@ class TestConstruction:
         assert cfg.shard_policy == "consistent_hash"
         with pytest.raises(ConfigError):
             FarmerConfig(router_virtual_nodes=0)
-        with pytest.raises(ConfigError):
-            FarmerConfig(echo_flush_interval=-1)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):

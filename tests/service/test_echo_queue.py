@@ -1,15 +1,15 @@
-"""Batched boundary echoes: queue semantics and drain schedules.
+"""Queued boundary echoes: queue semantics and the just-in-time drain.
 
-Two load-bearing properties (ISSUE 4 tentpole):
+Two load-bearing properties:
 
-* at ``echo_flush_interval=0`` (the default) the queued delivery is
-  bit-for-bit equivalent to synchronous per-request echoes — the queue
-  drains before anything else can land on the destination shard, so the
-  destination's window geometry is unchanged;
-* at ``echo_flush_interval=K`` echoes are delivered in FIFO order at
-  interval expiry, at the batch-``mine`` ingest barrier, and before any
-  query routed to the destination, so queries never miss an enqueued
-  echo even though delivery is deferred.
+* the queued delivery is bit-for-bit equivalent to synchronous
+  per-request echoes — the queue drains before anything else can land
+  on the destination shard, so the destination's window geometry is
+  unchanged;
+* echoes are delivered before the destination's next owned
+  observation, before any query routed to it, at the batch-``mine``
+  ingest barrier and on an explicit ``flush_echoes``, so queries never
+  miss an enqueued echo even though delivery is deferred.
 """
 
 import pytest
@@ -23,8 +23,7 @@ from tests.conftest import sequence_records
 class TestJustInTimeDrain:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_bit_identical_to_synchronous(self, n_shards):
-        """Acceptance property: the default (interval 0) queued echoes
-        reproduce the synchronous schedule bit-for-bit — every query
+        """Acceptance property: the queued echoes reproduce the synchronous schedule bit-for-bit — every query
         point over a real trace. The synchronous reference is the same
         service flushing after every request (per-request delivery),
         driven in lockstep so both sides rank at the same points."""
@@ -69,61 +68,28 @@ class TestJustInTimeDrain:
 
 
 class TestBatchedDrain:
-    def test_interval_defers_and_interval_expiry_delivers(self):
-        """Echoes accumulate across requests and drain every K accepted
-        records."""
-        cfg = FarmerConfig(
-            max_strength=0.0, n_shards=2, weight_p=0.0, echo_flush_interval=6
-        )
-        service = ShardedFarmer(cfg)
-        records = sequence_records([2, 3, 2, 3, 2])  # 4 boundary echoes
-        for r in records:
-            service.observe(r)
-        assert service.n_pending_echoes == 4  # nothing drained yet
-        service.observe(sequence_records([4])[0])  # 6th accepted record
-        assert service.n_pending_echoes == 0
-        assert service.n_boundary_echoes == 4
-
-    def test_fifo_drain_order(self):
-        """A drained queue replays its echoes in enqueue order: the
-        destination graph sees them as consecutive stream events."""
-        cfg = FarmerConfig(
-            max_strength=0.0, n_shards=2, weight_p=0.0, echo_flush_interval=100
-        )
-        service = ShardedFarmer(cfg)
-        # odd fids own shard 1; each even fid is a boundary echo to it
-        # (and each return to fid 1 echoes back to shard 0)
-        for r in sequence_records([1, 2, 1, 4, 1, 6]):
-            service.observe(r)
-        assert len(service._echo_queues[1]) == 3  # 2, 4, 6 in order
-        service.flush_echoes()
-        window = service.shards[1].constructor.graph.window_contents()
-        # the echoes 2, 4, 6 drained FIFO after shard 1's owned 1s
-        assert window[-3:] == (2, 4, 6)
+    """Whole-queue drains at the service-wide barriers (``flush_echoes``
+    and the batch-``mine`` ingest barrier)."""
 
     def test_explicit_flush_and_counters(self):
-        cfg = FarmerConfig(
-            max_strength=0.0, n_shards=2, weight_p=0.0, echo_flush_interval=100
-        )
+        cfg = FarmerConfig(max_strength=0.0, n_shards=2, weight_p=0.0)
         service = ShardedFarmer(cfg)
         for r in sequence_records([2, 3] * 5):
             service.observe(r)
         queued = service.n_pending_echoes
-        assert queued > 0
+        assert queued == 1  # the last boundary request's echo
         before = service.n_echo_flushes
         service.flush_echoes()
         assert service.n_pending_echoes == 0
-        assert service.n_echo_flushes > before
+        assert service.n_echo_flushes == before + 1
         assert service.correlation_degree(2, 3) > 0.0
 
     def test_mine_barrier_drains_under_chunked_schedule(self):
         """Chunked batch mining drains at every ingest barrier: queues
-        are empty after each ``mine`` call and queries reflect all
-        echoes, in enqueue order per destination."""
+        are empty after each ``mine`` call, and the chunked run places
+        exactly the echoes of one whole-trace ``mine``."""
         trace = generate_trace("hp", 3_000, seed=9)
-        cfg = FarmerConfig(
-            max_strength=0.3, n_shards=4, echo_flush_interval=500
-        )
+        cfg = FarmerConfig(max_strength=0.3, n_shards=4)
         chunked = ShardedFarmer(cfg)
         for start in range(0, len(trace), 700):  # uneven chunk boundary
             chunked.mine(trace[start : start + 700])
@@ -132,122 +98,10 @@ class TestBatchedDrain:
         assert chunked.n_observed == whole.n_observed == len(trace)
         assert chunked.n_boundary_echoes == whole.n_boundary_echoes
 
-    def test_batched_capture_matches_sync_on_quiet_stream(self):
-        """When nothing lands on the destination shard between enqueue
-        and drain, the batched edge is identical to the synchronous one
-        (the drain-time window equals the request-time window)."""
-        sync_cfg = FarmerConfig(max_strength=0.0, n_shards=2, weight_p=0.0)
-        batched_cfg = sync_cfg.with_(echo_flush_interval=50)
-        # 2 owns shard 0; 3, 5, 7 all own shard 1, so after the single
-        # boundary echo (3 → shard 0) nothing else touches shard 0
-        records = sequence_records([2, 3, 5, 7])
-        sync = ShardedFarmer(sync_cfg)
-        batched = ShardedFarmer(batched_cfg)
-        for r in records:
-            sync.observe(r)
-            batched.observe(r)
-        batched.flush_echoes()
-        assert batched.correlators(2) == sync.correlators(2)
-        assert batched.correlators(2)  # the echoed edge 2→3 exists
-
-    def test_batched_capture_diverges_when_destination_advances(self):
-        """The documented trade: an echo drained after the destination
-        observed more owned records attaches at drain-time geometry, so
-        the edge weight differs from the synchronous schedule's."""
-        sync_cfg = FarmerConfig(max_strength=0.0, n_shards=2, weight_p=0.0)
-        batched_cfg = sync_cfg.with_(echo_flush_interval=50)
-        records = sequence_records([2, 3] * 8)
-        sync = ShardedFarmer(sync_cfg)
-        batched = ShardedFarmer(batched_cfg)
-        for r in records:
-            sync.observe(r)
-            batched.observe(r)
-        batched.flush_echoes()
-        # the boundary correlation is still captured...
-        assert 3 in [e.fid for e in batched.correlators(2)]
-        # ...but at a different (drain-time) LDA geometry
-        assert batched.correlation_degree(2, 3) != sync.correlation_degree(2, 3)
-
-
-class TestIdleDrain:
-    """``echo_idle_drain``: the live trigger for idle destinations."""
-
-    def test_idle_gap_drains_queue_without_destination_activity(self):
-        """An idle shard's queue is delivered after the configured gap
-        of accepted requests elsewhere — it no longer waits for the
-        destination's own next request, query, or interval expiry."""
-        cfg = FarmerConfig(
-            max_strength=0.0,
-            n_shards=2,
-            weight_p=0.0,
-            echo_flush_interval=10_000,  # interval alone would never fire
-            echo_idle_drain=3,
-        )
-        service = ShardedFarmer(cfg)
-        for r in sequence_records([2, 3]):
-            service.observe(r)  # echo for idle shard 0 queued
-        assert service.n_pending_echoes == 1
-        # shard 1 keeps absorbing its own records; shard 0 stays idle
-        for r in sequence_records([5, 7, 9]):
-            service.observe(r)
-        assert service.n_pending_echoes == 0
-        assert service.n_idle_drains == 1
-        assert service.correlation_degree(2, 3) > 0.0
-        assert service.stats().n_idle_drains == 1
-
-    def test_destination_activity_resets_the_gap(self):
-        """Owned observations on the destination reset its idle clock
-        (they drain just-in-time anyway under interval 0, so the idle
-        trigger never fires for an active shard)."""
-        cfg = FarmerConfig(
-            max_strength=0.0, n_shards=2, weight_p=0.0, echo_idle_drain=4
-        )
-        service = ShardedFarmer(cfg)
-        # strict alternation: every shard is active every other request
-        for r in sequence_records([2, 3] * 10):
-            service.observe(r)
-        assert service.n_idle_drains == 0
-
-    def test_idle_drain_is_bit_identical_at_interval_zero(self):
-        """Under just-in-time mode an idle drain only moves delivery
-        *earlier* onto a shard nothing else touched, so results stay
-        bit-identical to the synchronous schedule — the JIT lockstep
-        property holds with the trigger armed."""
-        trace = generate_trace("hp", 4_000, seed=11)
-        queued = ShardedFarmer(
-            FarmerConfig(max_strength=0.3, n_shards=4, echo_idle_drain=5)
-        )
-        sync = ShardedFarmer(FarmerConfig(max_strength=0.3, n_shards=4))
-        for record in trace:
-            queued.observe(record)
-            sync.observe(record)
-            sync.flush_echoes()
-            assert queued.predict(record.fid) == sync.predict(record.fid)
-            assert queued.correlators(record.fid) == sync.correlators(record.fid)
-        assert queued.snapshot() == sync.snapshot()
-
-    def test_idle_drain_under_interval_mode_bounds_staleness(self):
-        """Batched mode with the trigger: a queue never sits longer
-        than the idle gap once its destination goes quiet."""
-        cfg = FarmerConfig(
-            max_strength=0.0,
-            n_shards=2,
-            weight_p=0.0,
-            echo_flush_interval=1_000,
-            echo_idle_drain=2,
-        )
-        service = ShardedFarmer(cfg)
-        for r in sequence_records([2, 3, 5]):
-            service.observe(r)
-        # 3's echo to shard 0 enqueued at request 2; requests 2 and 3
-        # (fids 3, 5) both landed elsewhere -> gap reached, drained
-        assert service.n_pending_echoes == 0
-        assert service.n_idle_drains == 1
-
 
 class TestStatsSurface:
     def test_stats_reports_echo_counters(self):
-        cfg = FarmerConfig(n_shards=4, echo_flush_interval=64)
+        cfg = FarmerConfig(n_shards=4)
         service = ShardedFarmer(cfg)
         service.mine(generate_trace("hp", 1_000, seed=2))
         stats = service.stats()

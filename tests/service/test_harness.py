@@ -81,3 +81,28 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert "--parallel" not in out
         assert "--workers" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["service", "--events", "100", "--echo-interval", "64"],
+            ["service", "--events", "100", "--idle-drain", "4"],
+            ["serve", "--echo-interval", "64"],
+        ],
+        ids=["service-echo-interval", "service-idle-drain", "serve-echo-interval"],
+    )
+    def test_removed_echo_schedule_flags_are_rejected(self, argv, capsys):
+        """Echoes drain just in time; there is no batched or idle drain
+        schedule to select."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["service", "serve"])
+    def test_help_lists_no_echo_schedule_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--echo-interval" not in out
+        assert "--idle-drain" not in out

@@ -24,6 +24,7 @@ from repro.errors import ConfigError, ReplicationError, ShardFailedError
 from repro.service.sharded import ShardedFarmer
 from repro.traces.synthetic import generate_trace
 from tests.conftest import cached_trace, sequence_records
+from tests.oracle import entrywise_kernel
 
 
 def replicated_config(**overrides) -> FarmerConfig:
@@ -360,13 +361,14 @@ class TestServiceEquivalence:
     def test_rebalance_and_failover_schedule(self):
         """The re-rank kernel sits below every migration/replication
         seam: an identical mine/rebalance/fail/promote schedule on the
-        bulk and entrywise kernels ends in identical query state."""
+        production re-rank and the entrywise reference kernel
+        (``tests.oracle.entrywise_kernel``, which also covers the
+        standbys and placeholders the service builds) ends in identical
+        query state."""
         trace = generate_trace("hp", 12_000, seed=41)
 
-        def run(kernel: str) -> ShardedFarmer:
-            service = ShardedFarmer(
-                replicated_config(rerank_kernel=kernel)
-            )
+        def run() -> ShardedFarmer:
+            service = ShardedFarmer(replicated_config())
             service.mine(trace[:6_000])
             service.rebalance(n_shards=6)
             service.mine(trace[6_000:10_000])
@@ -376,11 +378,13 @@ class TestServiceEquivalence:
             service.mine(trace[10_000:])
             return service
 
-        entrywise = run("entrywise")
-        bulk = run("bulk")
-        fids = owned_fids(bulk)
-        assert owned_fids(entrywise) == fids
-        assert query_map(entrywise, fids) == query_map(bulk, fids)
+        with entrywise_kernel():
+            entrywise = run()
+            fids = owned_fids(entrywise)
+            expected = query_map(entrywise, fids)
+        bulk = run()
+        assert owned_fids(bulk) == fids
+        assert query_map(bulk, fids) == expected
 
 
 class TestDeltaSync:

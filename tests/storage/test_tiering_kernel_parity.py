@@ -1,7 +1,8 @@
 """Satellite property: tiering metrics are rerank-kernel-invariant.
 
-The two re-rank kernels (bulk one-pass, entrywise reference) produce
-bit-identical Correlator Lists; this suite
+The production re-rank and the entrywise reference kernel
+(``tests.oracle.entrywise_kernel``) produce bit-identical Correlator
+Lists; this suite
 asserts the consequence at the placement layer — the full tiered
 ``SimulationReport`` (fast hits, promotions, hint traffic, latency
 percentiles) is identical whichever kernel mined the correlators that
@@ -11,30 +12,33 @@ here as a fast-hit-ratio diff, not only as a list-order diff.
 
 from __future__ import annotations
 
-import pytest
-
+from contextlib import nullcontext
 from dataclasses import replace
+
+import pytest
 
 from repro.experiments.common import cached_trace, farmer_config_for
 from repro.experiments.tiering_experiment import cached_scenario
 from repro.service.sharded import ShardedFarmer
 from repro.storage.cluster import SimulationConfig, run_simulation
 from repro.storage.prefetch import ShardedFarmerPrefetcher
+from tests.oracle import entrywise_kernel
 
 EVENTS = 1200
 
 
-KERNELS = ("bulk", "entrywise")
+KERNELS = (nullcontext, entrywise_kernel)
 
 
-def _report(records, kernel: str):
+def _report(records, kernel):
     config = SimulationConfig(
         n_mds=4, cache_capacity=64, tiering="correlated", tier_fraction=0.1
     )
-    engine = ShardedFarmerPrefetcher(
-        ShardedFarmer(farmer_config_for("hp", n_shards=4, rerank_kernel=kernel))
-    )
-    return run_simulation(records, engine, config)
+    with kernel():
+        engine = ShardedFarmerPrefetcher(
+            ShardedFarmer(farmer_config_for("hp", n_shards=4))
+        )
+        return run_simulation(records, engine, config)
 
 
 @pytest.mark.parametrize(
