@@ -113,6 +113,14 @@ class TestCapacity:
             CorrelationGraph(window=0)
         with pytest.raises(ConfigError):
             CorrelationGraph(successor_capacity=0)
+        # eviction's lower bound needs weights that never decrease
+        for bad in (-0.5, float("nan")):
+
+            def weight_fn(distance, decrement, bad=bad):
+                return bad if distance == 3 else 1.0
+
+            with pytest.raises(ConfigError):
+                CorrelationGraph(window=3, weight_fn=weight_fn)
 
     def test_approx_bytes_grows(self):
         g = CorrelationGraph()

@@ -10,7 +10,9 @@ live here, outside the hot code, as oracles:
   (clear the list, then one ``CorrelatorList.update`` per successor);
 * :func:`refresh_edge` — the immediate single-edge refresh that
   ``CoMiner.defer_edge`` logs and replays;
-* :func:`eager_observe` — Algorithm 1 on every request.
+* :func:`eager_observe` — Algorithm 1 on every request;
+* :func:`scan_eviction` — the full-scan weakest-edge eviction that
+  ``NodeState.evict_weakest`` bounds with its per-node lower bound.
 
 The module imports nothing beyond the mining core, so it runs on an
 interpreter without numpy.
@@ -23,10 +25,11 @@ from contextlib import contextmanager
 
 from repro.core.cominer import CoMiner
 from repro.core.farmer import Farmer
+from repro.graph.correlation_graph import NodeState
 from repro.graph.correlator_list import CorrelatorList
 from repro.traces.record import TraceRecord
 
-__all__ = ["eager_observe", "entrywise_kernel", "refresh_edge"]
+__all__ = ["eager_observe", "entrywise_kernel", "refresh_edge", "scan_eviction"]
 
 
 def _reevaluate_entrywise(self: CoMiner, src: int) -> CorrelatorList:
@@ -91,3 +94,49 @@ def eager_observe(farmer: Farmer, record: TraceRecord) -> None:
         refresh_edge(miner, pred, fid)
     miner.reevaluate(fid)
     farmer._n_observed += 1
+
+
+def _evict_by_scan(self: NodeState) -> int:
+    """Drop the first minimum-weight successor in insertion order,
+    found by reading every weight, and return its slot. The node's
+    lower bound is not read but dropped, so a production eviction after
+    this one never trusts a bound it did not set."""
+    weights = self.succ_weights
+    victim = 0
+    weakest = weights[0]
+    for i in range(1, len(weights)):
+        w = weights[i]
+        if w < weakest:
+            weakest = w
+            victim = i
+    fids = self.succ_fids
+    slots = self._slots
+    del slots[fids[victim]]
+    del fids[victim]
+    del weights[victim]
+    del self.succ_raw[victim]
+    del self.succ_last[victim]
+    for i in range(victim, len(fids)):
+        slots[fids[i]] = i
+    self.succ_version += 1
+    self._floor_len = 0
+    return victim
+
+
+@contextmanager
+def scan_eviction() -> Iterator[None]:
+    """Run every ``NodeState`` eviction on the full-scan reference
+    while the block is open.
+
+    Like :func:`entrywise_kernel`, the swap is class-wide (every graph,
+    shard, standby and placeholder) and the production method is
+    restored on exit, also on an exception. To compare the two in
+    lockstep, drive the reference side inside a short
+    ``with scan_eviction():`` block per step.
+    """
+    production = NodeState.__dict__["evict_weakest"]
+    NodeState.evict_weakest = _evict_by_scan
+    try:
+        yield
+    finally:
+        NodeState.evict_weakest = production
