@@ -15,20 +15,38 @@ On-disk format
 --------------
 
 A log is a directory of **segments** named ``wal-<seq>.log`` where
-``<seq>`` is the sequence number of the segment's first record.
-Each record is one CRC-framed entry::
+``<seq>`` is the sequence number of the segment's first record. A
+segment opens with an 8-byte header, the magic ``FWAL`` and the format
+version as a little-endian u32 (``2``), written when the segment is
+created. Each record is then one CRC-framed entry::
 
     [u32 payload length][u32 crc32(payload)][payload bytes]
 
-with the payload the compact JSON ``[allow_echo, record-dict]`` (the
-same dict :func:`repro.traces.io.record_to_dict` writes to JSONL trace
-files). Length-prefixed framing means a torn write — the process died
+The payload is one ``struct`` pack of fixed fields followed by two
+strings::
+
+    [u8 flags][i64 ts, fid, uid, pid, host, size, dev][u32 path length]
+    [UTF-8 path bytes][UTF-8 op bytes (the rest of the payload)]
+
+Flag bit 0 is ``allow_echo``; bit 1 says a path is present, so
+``path=None`` and ``path=""`` replay as the values that were appended.
+:meth:`WriteAheadLog.append` refuses a record whose integer fields do
+not fit int64, or whose path or op is not encodable as UTF-8, with
+:class:`~repro.errors.TraceFormatError` before writing any byte: a
+record the miner cannot hold never reaches the log, where every later
+recovery would replay it.
+
+Length-prefixed framing means a torn write — the process died
 mid-``append`` — is detectable as a short or CRC-failing frame at the
 physical end of the last segment; :class:`WriteAheadLog` truncates it
-at open and reports the discarded byte count. A bad frame anywhere
-*else* (valid data follows it) is real corruption and raises
+at open and reports the discarded byte count. A last segment shorter
+than its header is a crash during segment creation; it holds no
+records, and its header is rewritten. A bad frame anywhere *else*
+(valid data follows it) is real corruption and raises
 :class:`~repro.errors.WalCorruptError` — replay must never silently
-skip accepted records.
+skip accepted records. A segment without the header was written by the
+JSON-frame WAL (format 1) of an earlier version and is refused with
+:class:`~repro.errors.WalFormatError`.
 
 Fsync policy
 ------------
@@ -43,7 +61,6 @@ host power loss). ``docs/durability.md`` quantifies the trade.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import threading
@@ -52,15 +69,32 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import ConfigError, WalCorruptError
-from repro.traces.io import record_from_dict, record_to_dict
+from repro.errors import (
+    ConfigError,
+    TraceFormatError,
+    WalCorruptError,
+    WalFormatError,
+)
+from repro.traces.io import int64_overflow
 from repro.traces.record import TraceRecord
 
-__all__ = ["FSYNC_POLICIES", "WalStats", "WriteAheadLog"]
+__all__ = ["FSYNC_POLICIES", "WAL_FORMAT", "WalStats", "WriteAheadLog"]
 
 FSYNC_POLICIES = ("always", "interval", "never")
 
+#: on-disk format version in every segment header (1 was the JSON-frame
+#: WAL, whose segments had no header)
+WAL_FORMAT = 2
+
+_HEADER = struct.Struct("<4sI")  # magic, format version
+_MAGIC = b"FWAL"
+_HEADER_BYTES = _HEADER.pack(_MAGIC, WAL_FORMAT)
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+# payload: flags, ts, fid, uid, pid, host, size, dev, path byte length;
+# the UTF-8 path bytes and then the UTF-8 op bytes follow
+_FIELDS = struct.Struct("<B7qI")
+_ECHO = 1
+_HAS_PATH = 2
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
 
@@ -74,34 +108,90 @@ def _segment_base(path: Path) -> int:
 
 
 def _encode(record: TraceRecord, allow_echo: bool) -> bytes:
-    payload = json.dumps(
-        [1 if allow_echo else 0, record_to_dict(record)],
-        separators=(",", ":"),
-    ).encode("utf-8")
+    """One CRC-framed entry for ``record``.
+
+    Raises:
+        TraceFormatError: if an integer field does not fit int64 or the
+            path or op is not encodable as UTF-8.
+    """
+    flags = _ECHO if allow_echo else 0
+    try:
+        path = record.path
+        if path is None:
+            path_bytes = b""
+        else:
+            path_bytes = path.encode()
+            flags |= _HAS_PATH
+        payload = (
+            _FIELDS.pack(
+                flags,
+                record.ts,
+                record.fid,
+                record.uid,
+                record.pid,
+                record.host,
+                record.size,
+                record.dev,
+                len(path_bytes),
+            )
+            + path_bytes
+            + record.op.encode()
+        )
+    except (struct.error, UnicodeEncodeError, AttributeError) as exc:
+        reason = int64_overflow(record) or "its path or op is not a UTF-8 string"
+        raise TraceFormatError(f"the WAL refuses {record!r}: {reason}") from exc
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _scan_segment(path: Path) -> tuple[int, int, int]:
-    """Walk one segment's frames.
+def _decode(payload: bytes) -> tuple[TraceRecord, bool]:
+    """Inverse of :func:`_encode` on a CRC-checked payload."""
+    flags, ts, fid, uid, pid, host, size, dev, n_path = _FIELDS.unpack_from(
+        payload
+    )
+    start = _FIELDS.size
+    end = start + n_path
+    path = payload[start:end].decode() if flags & _HAS_PATH else None
+    record = TraceRecord(
+        ts, fid, uid, pid, host, path, payload[end:].decode(), size, dev
+    )
+    return record, bool(flags & _ECHO)
 
-    Returns ``(n_records, valid_bytes, total_bytes)`` — a torn or
-    corrupt tail shows up as ``valid_bytes < total_bytes`` (the caller
-    decides whether that is an expected torn write or real corruption).
-    """
-    data = path.read_bytes()
-    offset = 0
-    n_records = 0
+
+def _frames(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(end offset, payload)`` for each complete, CRC-valid
+    frame after the header; stops at the first short or CRC-failing
+    frame (the caller compares the last end offset with ``len(data)``
+    to tell a clean end from a torn or corrupt tail)."""
+    offset = _HEADER.size
     while offset + _FRAME.size <= len(data):
         length, crc = _FRAME.unpack_from(data, offset)
         end = offset + _FRAME.size + length
         if end > len(data):
-            break  # short frame: the payload was cut off
+            return  # short frame: the payload was cut off
         payload = data[offset + _FRAME.size : end]
         if zlib.crc32(payload) != crc:
-            break  # torn payload bytes
+            return  # torn payload bytes
+        yield end, payload
         offset = end
-        n_records += 1
-    return n_records, offset, len(data)
+
+
+def _check_header(path: Path, data: bytes) -> None:
+    """Refuse a segment this version cannot read (``data`` holds at
+    least a header's worth of bytes)."""
+    magic, version = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise WalFormatError(
+            f"WAL segment {path.name} has no format header: it was "
+            f"written by the JSON-frame WAL (format 1) of an earlier "
+            f"version, and this version reads only format {WAL_FORMAT}; "
+            f"recover it with the version that wrote it, or start from "
+            f"an empty data directory"
+        )
+    if version != WAL_FORMAT:
+        raise WalFormatError(
+            f"WAL segment {path.name} was written in WAL format "
+            f"{version}; this version reads only format {WAL_FORMAT}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,16 +255,11 @@ class WriteAheadLog:
         self._n_fsyncs = 0
         self._since_fsync = 0
         self.discarded_bytes = 0
-        self._segments = self._recover_segments()
-        base = self._segments[-1] if self._segments else 0
-        n_records, _, _ = (
-            _scan_segment(self._segment_path(base)) if self._segments else (0, 0, 0)
-        )
-        self._next_seq = base + n_records
+        self._segments, self._next_seq = self._recover_segments()
         self._active = open(  # noqa: SIM115 - held for the log's lifetime
-            self._segment_path(base)
+            self._segment_path(self._segments[-1])
             if self._segments
-            else self._start_segment(base),
+            else self._start_segment(0),
             "ab",
         )
 
@@ -185,22 +270,44 @@ class WriteAheadLog:
 
     def _start_segment(self, base: int) -> Path:
         path = self._segment_path(base)
-        path.touch()
+        path.write_bytes(_HEADER_BYTES)
         self._segments.append(base)
         return path
 
-    def _recover_segments(self) -> list[int]:
+    def _recover_segments(self) -> tuple[list[int], int]:
+        """Check every segment in order and truncate a torn tail of the
+        last one; returns the segment bases and the next sequence
+        number."""
         bases = sorted(
             _segment_base(path)
             for path in self.directory.glob(
                 f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"
             )
         )
+        next_seq = 0
         for position, base in enumerate(bases):
             path = self._segment_path(base)
-            n_records, valid, total = _scan_segment(path)
+            data = path.read_bytes()
             is_last = position == len(bases) - 1
-            if valid < total:
+            if len(data) < _HEADER.size:
+                if not is_last:
+                    raise WalCorruptError(
+                        f"WAL segment {path.name} is shorter than its "
+                        f"header but later segments exist; refusing to "
+                        f"open"
+                    )
+                # a crash while the segment was being created: it holds
+                # no records, so rewrite its header
+                path.write_bytes(_HEADER_BYTES)
+                self.discarded_bytes = len(data)
+                next_seq = base
+                break
+            _check_header(path, data)
+            n_records = 0
+            valid = _HEADER.size
+            for valid, _payload in _frames(data):
+                n_records += 1
+            if valid < len(data):
                 if not is_last:
                     raise WalCorruptError(
                         f"WAL segment {path.name} is corrupt at byte "
@@ -212,21 +319,27 @@ class WriteAheadLog:
                 # record and account for what was cut
                 with open(path, "ab") as fh:
                     fh.truncate(valid)
-                self.discarded_bytes = total - valid
-            if not is_last and bases[position + 1] != base + n_records:
+                self.discarded_bytes = len(data) - valid
+            next_seq = base + n_records
+            if not is_last and bases[position + 1] != next_seq:
                 raise WalCorruptError(
                     f"WAL segment {path.name} holds {n_records} records "
                     f"but the next segment starts at seq "
                     f"{bases[position + 1]} — a segment is missing or "
                     f"truncated; refusing to open"
                 )
-        return bases
+        return bases, next_seq
 
     # -- producer side -------------------------------------------------
 
     def append(self, record: TraceRecord, allow_echo: bool) -> int:
         """Durably journal one accepted record; returns its sequence
-        number (0-based position in the accepted stream)."""
+        number (0-based position in the accepted stream).
+
+        Raises:
+            TraceFormatError: if the record does not fit the binary
+                frame (see the module docstring); nothing is written.
+        """
         frame = _encode(record, allow_echo)
         with self._lock:
             seq = self._next_seq
@@ -305,24 +418,11 @@ class WriteAheadLog:
             self._active.flush()
             segments = list(self._segments)
         for base in segments:
-            path = self._segment_path(base)
-            data = path.read_bytes()
-            offset = 0
             seq = base
-            while offset + _FRAME.size <= len(data):
-                length, crc = _FRAME.unpack_from(data, offset)
-                end = offset + _FRAME.size + length
-                if end > len(data):
-                    break  # unflushed/torn tail of the live segment
-                payload = data[offset + _FRAME.size : end]
-                if zlib.crc32(payload) != crc:
-                    break
+            for _end, payload in _frames(self._segment_path(base).read_bytes()):
                 if seq >= from_seq:
-                    allow_echo, record_dict = json.loads(
-                        payload.decode("utf-8")
-                    )
-                    yield seq, record_from_dict(record_dict), bool(allow_echo)
-                offset = end
+                    record, allow_echo = _decode(payload)
+                    yield seq, record, allow_echo
                 seq += 1
 
     @property

@@ -94,6 +94,16 @@ class WalCorruptError(PersistenceError):
     """
 
 
+class WalFormatError(PersistenceError):
+    """A WAL segment was written in a format this version does not read.
+
+    Segments carry a magic and a format version in their header; a
+    segment without that header was written by the JSON-frame WAL of an
+    earlier version. Recovery refuses such a segment, naming the file
+    and the format that wrote it, rather than misreading its records.
+    """
+
+
 class SnapshotMismatchError(PersistenceError):
     """A snapshot disagrees with the booting configuration or program.
 

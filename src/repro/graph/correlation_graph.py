@@ -42,13 +42,16 @@ lower bound ``(_floor, _floor_len)``: every weight in slots
 ``[0, _floor_len)`` is ``>= _floor``. Edge weights never decrease (the
 constructor rejects a negative or NaN window weight), so the bound
 stays sound while the node grows, and an eviction reads only the tail
-past ``_floor_len`` unless that tail ties or beats the bound (see
+past ``_floor_len``, plus one more weight when the tail does not beat
+the bound: the first slot that held ``_floor`` (see
 :meth:`NodeState.evict_weakest`). A batch ``mine`` of the 60k-record
 ``metadata_churn`` benchmark input (seed 1) makes 116,943 evictions; 77% of
 them remove the newest slot, the edge appended right after the
-previous eviction. With the bound an eviction reads about 8 weights
-instead of 32, and the shift-down and index repair touch only the
-array tail.
+previous eviction. LDA weights take few distinct values, so a new edge
+often ties the weakest old one; the floor slot settles most of those
+ties, and 10,646 evictions (9%) still scan every weight. With the bound
+an eviction reads a handful of weights instead of 32, and the
+shift-down and index repair touch only the array tail.
 
 ``EdgeStats`` survives as the per-edge *view* type:
 :meth:`CorrelationGraph.successors` materialises a plain
@@ -111,6 +114,7 @@ class NodeState:
         "_slots",
         "_floor",
         "_floor_len",
+        "_floor_slot",
     )
 
     def __init__(self) -> None:
@@ -123,9 +127,11 @@ class NodeState:
         self.succ_last = array("q")
         self._slots: dict[int, int] = {}
         # eviction lower bound: every weight in slots [0, _floor_len) is
-        # >= _floor (see evict_weakest); _floor_len == 0 means no bound
+        # >= _floor, and every weight in [0, _floor_slot) is > _floor
+        # (see evict_weakest); _floor_len == 0 means no bound
         self._floor = 0.0
         self._floor_len = 0
+        self._floor_slot = 0
 
     @property
     def successors(self) -> dict[int, EdgeStats]:
@@ -158,10 +164,16 @@ class NodeState:
           is strictly below ``_floor``, no prefix weight can equal or
           beat it, so it is the global first minimum: evict it and keep
           the bound.
-        * Otherwise (a tie included, so the tie-break stays exact) scan
-          everything, tracking the second-smallest weight, which is the
-          smallest of the ``n - 1`` survivors: it becomes ``_floor``
-          with ``_floor_len = n - 1``.
+        * Otherwise every weight is ``>= _floor``. The node also keeps
+          ``_floor_slot``: every weight in slots ``[0, _floor_slot)`` is
+          strictly above ``_floor``. If that slot still holds exactly
+          ``_floor`` it is the first minimum: evict it, and since every
+          survivor is ``>= _floor`` the bound grows to ``n - 1`` slots.
+        * Otherwise (the floor slot's weight has grown) scan everything,
+          tracking the second-smallest weight, which is the smallest of
+          the ``n - 1`` survivors, and the first slot holding it: they
+          become ``_floor`` and ``_floor_slot``, with
+          ``_floor_len = n - 1``.
 
         ``_floor_len == 0`` means no bound, and the next eviction scans
         everything.
@@ -177,21 +189,32 @@ class NodeState:
                 if w < weakest:
                     weakest = w
                     victim = i
-            full = not weakest < self._floor
+            floor = self._floor
+            if weakest < floor:
+                full = False
+            elif weights[self._floor_slot] == floor:
+                victim = self._floor_slot
+                self._floor_len = n - 1
+                full = False
         if full:
             victim = 0
             weakest = weights[0]
             second = _INF
+            second_slot = 0
             for i in range(1, n):
                 w = weights[i]
                 if w < weakest:
                     second = weakest
+                    second_slot = victim
                     weakest = w
                     victim = i
                 elif w < second:
                     second = w
+                    second_slot = i
             self._floor = second
             self._floor_len = n - 1
+            # the survivors shift down past the victim
+            self._floor_slot = second_slot - (second_slot > victim)
         fids = self.succ_fids
         slots = self._slots
         del slots[fids[victim]]
@@ -243,6 +266,7 @@ class NodeState:
         new._slots = self._slots.copy()
         new._floor = self._floor
         new._floor_len = self._floor_len
+        new._floor_slot = self._floor_slot
         return new
 
     # explicit pickle support: __slots__ classes have no __dict__, and
@@ -274,6 +298,7 @@ class NodeState:
         # scans everything and sets it again
         self._floor = 0.0
         self._floor_len = 0
+        self._floor_slot = 0
 
 
 class CorrelationGraph:

@@ -30,7 +30,9 @@ meaning — the GET is a query, the POST is a barrier. When the service
 runs with a data directory, ``GET /stats`` carries the WAL/snapshot/
 recovery rollup under ``durability``.
 
-Error mapping: bad arguments → 400; unknown path → 404; an operation
+Error mapping: bad arguments → 400 (an ``/ingest`` line that does not
+parse, or that the WAL refuses, names its line; the lines before it
+were offered); unknown path → 404; an operation
 the service refuses (failed shard, replication disabled, bad config)
 → 409 with the error text. The handler never serves tracebacks.
 """
@@ -48,6 +50,7 @@ from repro.errors import (
     PersistenceError,
     ReplicationError,
     ShardFailedError,
+    TraceFormatError,
 )
 from repro.online.pipeline import OnlineService
 from repro.traces.io import record_from_dict
@@ -261,7 +264,13 @@ class AdminApiServer:
                                 raise _ApiError(
                                     400, f"bad record on line {lineno}: {exc}"
                                 )
-                            outcome = online.offer(record).value
+                            try:
+                                outcome = online.offer(record).value
+                            except TraceFormatError as exc:
+                                # the WAL refused it: nothing was journaled
+                                raise _ApiError(
+                                    400, f"bad record on line {lineno}: {exc}"
+                                )
                             results[outcome] = results.get(outcome, 0) + 1
                         return {"admission": results}
 

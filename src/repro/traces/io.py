@@ -25,9 +25,12 @@ __all__ = [
     "read_jsonl",
     "record_to_dict",
     "record_from_dict",
+    "int64_overflow",
 ]
 
 CSV_COLUMNS = ("ts", "fid", "uid", "pid", "host", "path", "op", "size", "dev")
+_INT_FIELDS = ("ts", "fid", "uid", "pid", "host", "size", "dev")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def record_to_dict(record: TraceRecord) -> dict:
@@ -49,10 +52,11 @@ def record_from_dict(data: dict, line: int | None = None) -> TraceRecord:
     """Parse a dict (e.g. one JSONL object) into a record.
 
     Raises:
-        TraceFormatError: on missing keys or un-coercible values.
+        TraceFormatError: on missing keys, un-coercible values or an
+            integer field outside int64.
     """
     try:
-        return TraceRecord(
+        record = TraceRecord(
             ts=int(data["ts"]),
             fid=int(data["fid"]),
             uid=int(data["uid"]),
@@ -65,6 +69,25 @@ def record_from_dict(data: dict, line: int | None = None) -> TraceRecord:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad trace record: {exc!r}", line) from exc
+    overflow = int64_overflow(record)
+    if overflow is not None:
+        raise TraceFormatError(f"bad trace record: {overflow}", line)
+    return record
+
+
+def int64_overflow(record: TraceRecord) -> str | None:
+    """The first integer field of ``record`` that is not an int64, as
+    an error fragment, or None when all of them are.
+
+    The miner's graph arrays and the write-ahead log hold these fields
+    as int64, so a record outside that range must be refused where it
+    enters the service, not when it is mined.
+    """
+    for name in _INT_FIELDS:
+        value = getattr(record, name)
+        if not isinstance(value, int) or not _INT64_MIN <= value <= _INT64_MAX:
+            return f"{name}={value!r} is not an int64"
+    return None
 
 
 def write_csv(records: Iterable[TraceRecord], path: str | Path) -> int:

@@ -15,11 +15,13 @@ time).
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import FarmerConfig
 from repro.durability import DurabilityManager
+from repro.errors import TraceFormatError
 from repro.online import Admission, AdmissionPolicy, OnlineService
 from repro.service.sharded import ShardedFarmer
 from tests.conftest import cached_trace
@@ -194,3 +196,59 @@ def test_fresh_data_dir_recovers_to_empty(tmp_path):
     service, report = manager.recover(cfg)
     assert report.durable_seq == 0 and report.snapshot_path is None
     assert service.n_observed == 0
+
+
+def test_empty_path_recovers_as_empty_path(tmp_path):
+    """``path=""`` and ``path=None`` mine to different vectors, so the
+    WAL must replay each as the value that was appended: a recovered
+    service stays bit-identical to one that never crashed."""
+    records = [
+        replace(r, path="") if i % 3 == 0 else r
+        for i, r in enumerate(cached_trace("hp", 2_000, 13))
+    ]
+    cfg = FarmerConfig(n_shards=2, max_strength=0.3)
+    run_and_crash(tmp_path, cfg, records, 1_500, [600])
+    online, report = recover(tmp_path, cfg)
+    assert report.durable_seq == 1_500
+    manager = online.durability
+    assert [r for _, r, _ in manager.wal.replay(600)] == records[600:1_500]
+    reference = reference_at(cfg, records, 1_500, [600])
+    assert_bit_identical(online, reference, records[:1_500])
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [
+        {"fid": 2**63},
+        {"ts": -(2**63) - 1},
+        {"size": 2**64},
+        {"path": "/tmp/\ud800"},
+        {"op": "re\udfffad"},
+    ],
+    ids=["fid", "ts", "size", "path-surrogate", "op-surrogate"],
+)
+def test_poison_record_is_refused_and_recovery_still_works(tmp_path, poison):
+    """A record the miner cannot hold is refused at ``offer`` before it
+    is journaled, enqueued or counted as accepted; the WAL stays
+    byte-identical and the data directory recovers."""
+    records = cached_trace("hp", 1_000, 13)
+    cfg = FarmerConfig(n_shards=2, max_strength=0.3)
+    manager = DurabilityManager(tmp_path)
+    online = OnlineService(
+        cfg, policy=WIDE_OPEN, durability=manager, batch_size=128
+    )
+    for record in records[:400]:
+        online.offer(record)
+    segment = max((tmp_path / "wal").glob("wal-*.log"))
+    before = segment.read_bytes()
+    with pytest.raises(TraceFormatError, match=next(iter(poison))):
+        online.offer(replace(records[400], **poison))
+    assert segment.read_bytes() == before
+    assert online.pipeline.counters().n_accepted == 400
+    for record in records[400:700]:
+        assert online.offer(record) is Admission.ACCEPTED
+    online.drain()
+    manager.wal.close()  # crash: abandon the live service
+    online, report = recover(tmp_path, cfg)
+    assert report.durable_seq == 700
+    assert_bit_identical(online, reference_at(cfg, records, 700), records[:700])

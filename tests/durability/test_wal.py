@@ -1,16 +1,27 @@
-"""WAL unit coverage: CRC framing, rotation, pruning, torn-tail
-recovery at every byte boundary of the last record (ISSUE 8 satellite).
+"""WAL unit coverage: CRC framing, the binary record layout and its
+refusals, segment headers, rotation, pruning, torn-tail recovery at
+every byte boundary of the last record.
 
 Numpy-free by design (hand-built records only) so the no-numpy CI leg
 covers the journal format too.
 """
 
+import json
 import shutil
+import struct
+import zlib
+from dataclasses import replace
 
 import pytest
 
-from repro.durability.wal import WriteAheadLog
-from repro.errors import ConfigError, WalCorruptError
+from repro.durability.wal import WAL_FORMAT, WriteAheadLog
+from repro.errors import (
+    ConfigError,
+    PersistenceError,
+    TraceFormatError,
+    WalCorruptError,
+    WalFormatError,
+)
 from tests.conftest import make_record
 
 
@@ -74,6 +85,120 @@ class TestFraming:
         fill(interval, 5)
         assert interval.stats().n_fsyncs == 2
         interval.close()
+
+
+class TestBinaryRecords:
+    def test_empty_path_and_no_path_stay_distinct(self, tmp_path):
+        log = WriteAheadLog(tmp_path)
+        records = [
+            make_record(1, path=None),
+            make_record(2, path=""),
+            make_record(3, path="/data/caf\u00e9/\u6587\u4ef6.txt", op="\u00e9crire"),
+            make_record(4, path="/x", op=""),
+        ]
+        for record in records:
+            log.append(record, False)
+        log.close()
+        assert [record for _, record, _ in replayed(tmp_path)] == records
+
+    def test_int64_extremes_round_trip(self, tmp_path):
+        low, high = -(2**63), 2**63 - 1
+        record = make_record(
+            high, ts=low, uid=high, pid=low, host=high, size=low, dev=high
+        )
+        log = WriteAheadLog(tmp_path)
+        log.append(record, True)
+        log.close()
+        assert replayed(tmp_path) == [(0, record, True)]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fid", 2**63),
+            ("ts", -(2**63) - 1),
+            ("uid", 2**70),
+            ("dev", 1.5),
+            ("path", "/a/\ud800"),
+            ("op", "\udcff"),
+            ("op", None),
+        ],
+    )
+    def test_unencodable_record_refused_before_any_write(
+        self, tmp_path, field, value
+    ):
+        log = WriteAheadLog(tmp_path)
+        fill(log, 3)
+        segment = next(tmp_path.glob("wal-*.log"))
+        before = segment.read_bytes()
+        with pytest.raises(TraceFormatError, match=field):
+            log.append(replace(make_record(1), **{field: value}), True)
+        assert segment.read_bytes() == before
+        assert log.next_seq == 3 and log.stats().n_appends == 3
+        assert log.append(make_record(5), True) == 3
+        log.close()
+        assert [seq for seq, _, _ in replayed(tmp_path)] == [0, 1, 2, 3]
+
+
+class TestSegmentHeader:
+    def test_every_segment_starts_with_the_header(self, tmp_path):
+        log = WriteAheadLog(tmp_path)
+        fill(log, 2)
+        log.rotate()
+        log.close()
+        for segment in tmp_path.glob("wal-*.log"):
+            assert segment.read_bytes()[:8] == struct.pack(
+                "<4sI", b"FWAL", WAL_FORMAT
+            )
+
+    def test_json_era_segment_is_refused(self, tmp_path):
+        """A segment written by the JSON-frame WAL (no header) is
+        refused by name, never misread."""
+        payload = json.dumps(
+            [1, {"ts": 0, "fid": 7, "uid": 1, "pid": 1, "host": 1,
+                 "path": None, "op": "open", "size": 0, "dev": 0}],
+            separators=(",", ":"),
+        ).encode()
+        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        (tmp_path / "wal-000000000000.log").write_bytes(frame * 3)
+        with pytest.raises(WalFormatError, match="wal-000000000000.log") as info:
+            WriteAheadLog(tmp_path)
+        assert "JSON" in str(info.value)
+        assert isinstance(info.value, PersistenceError)
+
+    def test_unknown_format_version_is_refused(self, tmp_path):
+        (tmp_path / "wal-000000000000.log").write_bytes(
+            struct.pack("<4sI", b"FWAL", WAL_FORMAT + 1)
+        )
+        with pytest.raises(WalFormatError, match=f"format {WAL_FORMAT + 1}"):
+            WriteAheadLog(tmp_path)
+
+    @pytest.mark.parametrize("cut", range(8))
+    def test_torn_header_of_the_last_segment_is_rewritten(self, tmp_path, cut):
+        log = WriteAheadLog(tmp_path)
+        fill(log, 3)
+        log.rotate()
+        log.close()
+        newest = max(tmp_path.glob("wal-*.log"))
+        header = newest.read_bytes()
+        newest.write_bytes(header[:cut])  # crashed while creating it
+        recovered = WriteAheadLog(tmp_path)
+        assert recovered.discarded_bytes == cut
+        assert recovered.next_seq == 3
+        assert recovered.append(make_record(9), True) == 3
+        recovered.close()
+        assert newest.read_bytes().startswith(header)
+        assert [seq for seq, _, _ in replayed(tmp_path)] == [0, 1, 2, 3]
+
+    def test_short_segment_before_later_ones_refuses_to_open(self, tmp_path):
+        log = WriteAheadLog(tmp_path)
+        fill(log, 3)
+        log.rotate()
+        fill(log, 3, start=3)
+        log.close()
+        oldest = min(tmp_path.glob("wal-*.log"))
+        oldest.write_bytes(oldest.read_bytes()[:5])
+        with pytest.raises(WalCorruptError, match="later segments exist"):
+            WriteAheadLog(tmp_path)
 
 
 class TestRotationAndPrune:

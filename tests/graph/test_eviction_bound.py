@@ -69,11 +69,17 @@ def graph_state(graph: CorrelationGraph) -> tuple:
 
 
 def assert_bound_holds(graph: CorrelationGraph) -> None:
-    """The invariant the bound rests on: every weight in slots
-    ``[0, _floor_len)`` is ``>= _floor``."""
+    """The invariants the bound rests on: every weight in slots
+    ``[0, _floor_len)`` is ``>= _floor``, and with a bound set, the
+    floor slot lies inside it and every weight before it is strictly
+    above ``_floor``."""
     for fid, node in graph.node_map().items():
         floor = node._floor
         assert all(w >= floor for w in node.succ_weights[: node._floor_len]), fid
+        if node._floor_len:
+            assert node._floor_slot < node._floor_len, fid
+            prefix = node.succ_weights[: node._floor_slot]
+            assert all(w > floor for w in prefix), fid
 
 
 class CountingWeights(array):
@@ -122,6 +128,32 @@ class TestBound:
         assert node.evict_weakest() == 0  # the tail's 2.0 ties slot 0
         assert list(node.succ_fids) == [1, 2]
         assert (node._floor, node._floor_len) == (2.0, 2)
+
+    def test_full_scan_remembers_the_first_floor_slot(self):
+        node = full_node([4.0, 2.0, 3.0, 1.0, 2.0])
+        assert node.evict_weakest() == 3
+        assert list(node.succ_weights) == [4.0, 2.0, 3.0, 2.0]
+        assert (node._floor, node._floor_len, node._floor_slot) == (2.0, 4, 1)
+        node = full_node([3.0, 2.0, 1.0, 2.0])
+        assert node.evict_weakest() == 2
+        assert (node._floor, node._floor_len, node._floor_slot) == (2.0, 3, 1)
+
+    def test_tie_at_the_floor_slot_reads_the_tail_plus_one(self):
+        """A tail tie with a floor slot still at the floor: the floor
+        slot is the first minimum, found without a full scan."""
+        node = full_node([5.0, 3.0, 4.0, 3.0, 6.0, 3.0])
+        node._floor, node._floor_len, node._floor_slot = 3.0, 4, 1
+        node.succ_weights.reads = 0
+        assert node.evict_weakest() == 1
+        assert node.succ_weights.reads <= 2 + 1  # tail [4, 6) plus one
+        assert list(node.succ_fids) == [0, 2, 3, 4, 5]
+        assert (node._floor, node._floor_len, node._floor_slot) == (3.0, 5, 1)
+
+    def test_grown_floor_slot_falls_through(self):
+        node = full_node([5.0, 4.0, 3.0])
+        node._floor, node._floor_len, node._floor_slot = 3.0, 2, 1
+        assert node.evict_weakest() == 2  # slot 1 grew from 3.0 to 4.0
+        assert (node._floor, node._floor_len, node._floor_slot) == (4.0, 2, 1)
 
     def test_capacity_one_leaves_no_bound(self):
         node = full_node([4.0])

@@ -7,6 +7,7 @@ import urllib.request
 import pytest
 
 from repro.core.config import FarmerConfig
+from repro.durability import DurabilityManager
 from repro.online.api import AdminApiServer
 from repro.online.pipeline import OnlineService
 from tests.conftest import sequence_records
@@ -162,6 +163,43 @@ class TestErrorMapping:
             post(url, "/ingest", raw=b"not json\n")
         code, _ = status_of(exc_info)
         assert code == 400
+
+    def test_out_of_int64_ingest_record_400(self, served):
+        """A value the miner cannot hold is refused at parsing: 400
+        naming the line, and the service keeps serving."""
+        online, url = served
+        lines = [
+            {"ts": 1, "fid": 9, "uid": 1, "pid": 1, "host": 1},
+            {"ts": 2, "fid": 2**63, "uid": 1, "pid": 1, "host": 1},
+        ]
+        raw = "\n".join(json.dumps(line) for line in lines).encode()
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            post(url, "/ingest", raw=raw)
+        code, body = status_of(exc_info)
+        assert code == 400 and "line 2" in body["error"]
+        assert "fid" in body["error"]
+        assert online.pipeline.counters().n_accepted == 201
+        online.drain()
+        assert get(url, "/health")["status"] == "ok"
+
+    def test_wal_refusal_maps_to_400(self, tmp_path):
+        """A lone surrogate parses from JSON but has no UTF-8 form: the
+        WAL refuses it before journaling, and the client gets a 400."""
+        manager = DurabilityManager(tmp_path)
+        online = OnlineService(FarmerConfig(n_shards=2), durability=manager)
+        raw = json.dumps(
+            {"ts": 1, "fid": 9, "uid": 1, "pid": 1, "host": 1, "path": "/\ud800"}
+        ).encode()
+        assert b"\\ud800" in raw
+        with AdminApiServer(online) as api:
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                post(api.url, "/ingest", raw=raw)
+            code, body = status_of(exc_info)
+            assert code == 400 and "line 1" in body["error"]
+            assert get(api.url, "/health")["status"] == "ok"
+        assert manager.wal.next_seq == 0
+        assert online.pipeline.counters().n_accepted == 0
+        manager.close()
 
     def test_service_refusal_maps_to_409(self):
         """promote_standby without replication: the service's

@@ -92,6 +92,19 @@ class TestJsonlRoundtrip:
         with pytest.raises(TraceFormatError):
             record_from_dict({"fid": 1})
 
+    @pytest.mark.parametrize(
+        "field, value", [("fid", 2**63), ("ts", -(2**63) - 1), ("size", 2**64)]
+    )
+    def test_out_of_int64_refused(self, field, value):
+        data = record_to_dict(make_record(1))
+        data[field] = value
+        with pytest.raises(TraceFormatError, match=f"line 3: .*{field}"):
+            record_from_dict(data, 3)
+
+    def test_int64_extremes_accepted(self):
+        r = make_record(2**63 - 1, ts=-(2**63))
+        assert record_from_dict(record_to_dict(r)) == r
+
     def test_dict_roundtrip(self):
         r = make_record(5, ts=1, path="/p")
         assert record_from_dict(record_to_dict(r)) == r
