@@ -36,7 +36,7 @@ def _sims_per_request(farmer: Farmer) -> float:
 def bench_farmer_observe_throughput(benchmark, hp_bench_trace, bench_record):
     """Full pipeline: requests mined per second (paper's overhead claim).
 
-    Mines with the production (lazy, stamped) schedule and prints the
+    Mines with the production (lazy) schedule and prints the
     similarity computations per request next to the eager reference
     (``tests.oracle.eager_observe``), so the lazy schedule's win is
     visible in BENCH output.
@@ -177,48 +177,42 @@ def bench_farmer_mine_batch(benchmark, hp_bench_trace, bench_record):
 
 
 def bench_rerank_op_counts(benchmark, hp_bench_trace, bench_record):
-    """Asserted op-count reductions on the FPA loop: the re-rank's
-    stamps cut Function-1 evaluations and rebuild() eliminates re-rank
-    insorts, at bit-identical output. The plain (stamp-free) reference
-    is the entrywise kernel (``tests.oracle.entrywise_kernel``), which
-    counts Function 1 once per scanned pair."""
+    """Asserted op counts on the FPA loop: rebuild() eliminates re-rank
+    insorts at bit-identical output and the same Function-1 count as
+    the entrywise kernel (``tests.oracle.entrywise_kernel``), which
+    evaluates Function 1 once per scanned pair."""
 
     def fpa():
-        farmer = Farmer(FarmerConfig(vector_freeze_threshold=8))
+        farmer = Farmer(FarmerConfig())
         for record in hp_bench_trace:
             farmer.observe(record)
             farmer.predict(record.fid)
         return farmer
 
-    stamped = benchmark.pedantic(fpa, rounds=2, iterations=1)
+    bulk = benchmark.pedantic(fpa, rounds=2, iterations=1)
     with entrywise_kernel():
-        plain = entrywise = fpa()
-    s_f1, p_f1 = stamped.f1_evaluations(), plain.f1_evaluations()
-    s_ops, e_ops = stamped.rerank_stats(), entrywise.rerank_stats()
-    # fewer than half the Function-1 evaluations...
-    assert s_f1 < p_f1 / 2
-    # ...never more...
-    assert s_f1 <= p_f1
+        entrywise = fpa()
+    b_f1, e_f1 = bulk.f1_evaluations(), entrywise.f1_evaluations()
+    b_ops, e_ops = bulk.rerank_stats(), entrywise.rerank_stats()
+    # the same Function-1 work...
+    assert b_f1 == e_f1
     # ...and a fraction of the insort work per re-rank
-    assert s_ops.insort_ops < e_ops.insort_ops / 2
+    assert b_ops.insort_ops < e_ops.insort_ops / 2
     print(
-        f"\n[Function-1 evaluations: stamped {s_f1} vs plain "
-        f"{p_f1} ({p_f1 / s_f1:.1f}x fewer); "
-        f"insorts: bulk {s_ops.insort_ops} vs entrywise {e_ops.insort_ops} "
-        f"({e_ops.insort_ops / max(1, s_ops.insort_ops):.1f}x fewer)]"
+        f"\n[Function-1 evaluations: {b_f1} (bulk = entrywise); "
+        f"insorts: bulk {b_ops.insort_ops} vs entrywise {e_ops.insort_ops} "
+        f"({e_ops.insort_ops / max(1, b_ops.insort_ops):.1f}x fewer)]"
     )
     bench_record(
-        stamped_f1_evaluations=s_f1,
-        plain_f1_evaluations=p_f1,
-        bulk_insort_ops=s_ops.insort_ops,
+        f1_evaluations=b_f1,
+        bulk_insort_ops=b_ops.insort_ops,
         entrywise_insort_ops=e_ops.insort_ops,
     )
 
 
 def bench_chunked_mine_incremental(benchmark, hp_bench_trace, bench_record):
-    """The incremental service pattern: mine() in small chunks. The
-    stamps skip entries whose inputs did not change across chunk
-    boundaries — asserted via the skip counter."""
+    """The incremental service pattern: mine() in small chunks; each
+    chunk's flush re-ranks only the nodes whose graph tick moved."""
     chunk = 125
 
     def chunked():
@@ -229,17 +223,15 @@ def bench_chunked_mine_incremental(benchmark, hp_bench_trace, bench_record):
 
     farmer = benchmark.pedantic(chunked, rounds=2, iterations=1)
     ops = farmer.rerank_stats()
-    assert ops.entries_skipped_unchanged > 0
     per_req_us = benchmark.stats["mean"] / len(hp_bench_trace) * 1e6
     print(
         f"\n[chunked mine ({chunk}/batch): {per_req_us:.1f} us/request; "
-        f"{ops.entries_skipped_unchanged}/{ops.entries_scanned} entries "
-        f"fully skipped by stamps]"
+        f"{ops.n_reevaluations} re-ranks, {ops.entries_scanned} entries]"
     )
     bench_record(
         us_per_request=per_req_us,
+        n_reevaluations=ops.n_reevaluations,
         entries_scanned=ops.entries_scanned,
-        entries_skipped_unchanged=ops.entries_skipped_unchanged,
     )
 
 

@@ -16,36 +16,11 @@ Run with::
 from __future__ import annotations
 
 from repro.core.config import FarmerConfig
-from repro.core.farmer import Farmer
 from repro.service.sharded import ShardedFarmer
 from repro.storage.cluster import SimulationConfig, run_simulation
 from repro.storage.prefetch import ShardedFarmerPrefetcher
 
 BASE = FarmerConfig()
-
-
-def bench_vector_freeze_f1_evaluations(benchmark, hp_bench_trace, bench_record):
-    """The vector-stability heuristic: Function-1 evaluations with and
-    without ``vector_freeze_threshold`` on the FPA loop (the re-rank
-    stamps turn stable versions into reused similarities)."""
-
-    def frozen():
-        farmer = Farmer(BASE.with_(vector_freeze_threshold=8))
-        for record in hp_bench_trace:
-            farmer.observe(record)
-            farmer.predict(record.fid)
-        return farmer
-
-    farmer = benchmark.pedantic(frozen, rounds=2, iterations=1)
-    baseline = Farmer(BASE)
-    for record in hp_bench_trace:
-        baseline.observe(record)
-        baseline.predict(record.fid)
-    hot = farmer.f1_evaluations()
-    cold = baseline.f1_evaluations()
-    print(f"\n[Function-1 evaluations: freeze@8 {hot} vs unfrozen {cold}]")
-    assert hot < cold
-    bench_record(frozen_f1=hot, unfrozen_f1=cold)
 
 
 def bench_sharded_batch_mine_4shards(benchmark, hp_bench_trace, bench_record):

@@ -158,12 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strict partition isolation (drop cross-shard boundary edges)",
     )
     svc_p.add_argument(
-        "--freeze",
-        type=int,
-        default=0,
-        help="vector_freeze_threshold (0 = off)",
-    )
-    svc_p.add_argument(
         "--no-predict",
         action="store_true",
         help="time observe() only (skip the per-request FPA predict)",
@@ -459,7 +453,6 @@ def _run_service(args: argparse.Namespace) -> int:
         args.trace,
         shard_policy=policy,
         cross_shard_edges=not args.isolate,
-        vector_freeze_threshold=args.freeze,
         replication=args.replicate,
         standby_sync_interval=args.sync_interval,
     )
@@ -492,7 +485,7 @@ def _run_service(args: argparse.Namespace) -> int:
     print(
         f"sharded mining service on '{args.trace}' x{args.events} "
         f"(router={policy}, cross_shard_edges={not args.isolate}, "
-        f"freeze={args.freeze}, mode={mode}; measured wall clock, "
+        f"mode={mode}; measured wall clock, "
         "one thread)"
     )
     print(

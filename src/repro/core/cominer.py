@@ -51,16 +51,8 @@ One-pass re-rank
 ``reevaluate`` is the hottest loop in the system, and it runs as one
 measurable pass instead of d independent ``update``/``insort`` calls:
 
-* the source's vector/version and access count are resolved **once**;
-* per successor, an *entry stamp* ``(vector-version pair, N_xy, N_x)``
-  is compared against the inputs of the last rank — an exact match
-  reuses the stored degree outright (both Function 1 and Function 2
-  skipped), a version-pair match alone reuses the stored similarity
-  (Function 1 skipped, only the frequency blend recomputed). Vectors
-  are not assumed stable: under the default ``sv_policy="merge"`` most
-  requests reshape the requester's vector (about 97% of the FPA
-  requests on the HP trace), so reuse is keyed on exact versions;
-* the remaining successors get Function 1 as one row
+* the source's vector and access count are resolved **once**;
+* every successor gets Function 1 as one row
   (:func:`~repro.vsm.similarity.similarity_row`): the source side of
   IPA(bag) is resolved once per re-rank, and the values are
   bit-identical to per-pair :meth:`semantic_distance` calls;
@@ -68,13 +60,14 @@ measurable pass instead of d independent ``update``/``insort`` calls:
   :meth:`~repro.graph.correlator_list.CorrelatorList.rebuild` (sort +
   threshold/capacity cut, O(d log d)) instead of d binary insertions.
 
-The test suite's oracle module holds the paper-literal references: an
-entrywise, stamp-free re-rank (clear, then one ``update`` per
-successor) and the eager per-request schedule; the output is bit-for-bit
-identical to theirs (property-tested). The op counters in
-:class:`RerankStats` and the Function-1 evaluation count
-(:class:`F1Counter`) let benchmarks assert the work reduction instead
-of poking internals.
+Nothing is kept between ranks: a re-rank recomputes Functions 1 and 2
+for every current successor. The test suite's oracle module holds the
+paper-literal references: an entrywise re-rank (clear, then one
+``update`` per successor) and the eager per-request schedule; the
+output and the Function-1 count are identical to theirs
+(property-tested). The op counters in :class:`RerankStats` and the
+Function-1 evaluation count (:class:`F1Counter`) let benchmarks assert
+the work instead of poking internals.
 
 Ranking contract: a re-ranked list is a pure function of the file's
 *current* successor set — the top-capacity degrees above the threshold.
@@ -144,8 +137,8 @@ class RerankStats:
     Attributes:
         n_reevaluations: full Algorithm-1 re-ranks performed.
         entries_scanned: successor entries examined across all re-ranks.
-        entries_skipped_unchanged: entries whose stamp matched every
-            input — degree reused, Function 1 and Function 2 skipped.
+        entries_skipped_unchanged: always 0 — a re-rank evaluates every
+            successor. Kept because the benchmark reads it.
         insort_ops: binary insertions into Correlator Lists (a re-rank
             performs none; an edge-log replay insorts once per logged
             refresh; refreshes still pending in a log are not counted).
@@ -175,19 +168,11 @@ class CoMiner:
         self._lists: dict[int, CorrelatorList] = {}
         self._dirty: set[int] = set()
         self._ranked_tick: dict[int, int] = {}
-        # src -> dst -> (ver_src, ver_dst, n_xy, n_x, sim, degree): the
-        # inputs and outputs of the last rank, pruned to the current
-        # successor set on every re-rank
-        self._stamps: dict[int, dict[int, tuple]] = {}
         # src -> pending edge refreshes (dst, va, vb, freq),
         # in arrival order (see defer_edge)
         self._edge_log: dict[int, list[tuple]] = {}
-        # the vector-store epoch each list was last ranked at (with
-        # _ranked_tick, the whole-list-skip stamp)
-        self._ranked_epoch: dict[int, int] = {}
         self._n_reevaluations = 0
         self._entries_scanned = 0
-        self._entries_skipped = 0
 
     # ------------------------------------------------------------------
     # degree evaluation
@@ -243,18 +228,12 @@ class CoMiner:
         sweep falls out of ranking over the current successor set).
         Clears the dirty flag and records the graph tick ranked at.
 
-        One pass: stamps skip unchanged successors, the remaining
-        similarities come from one
+        One pass: the similarities come from one
         :func:`~repro.vsm.similarity.similarity_row` (value- and
         count-identical to per-pair :meth:`semantic_distance`), and the
         list is materialised by a single sort/cut rebuild.
-
-        Stamps are recorded from a file's first *re*-rank on: a one-shot
-        batch ranks every file exactly once, and allocating stamps it
-        will never read is measurable at that scale.
         """
         constructor = self.constructor
-        store = constructor.vectors
         node = constructor.graph.node_map().get(src)
         if node is not None:
             succ_fids = node.succ_fids
@@ -265,104 +244,38 @@ class CoMiner:
             succ_fids = succ_weights = ()
             n_x = 0
             tick = 0
-        d = len(succ_fids)
-        last_epoch = self._ranked_epoch.get(src)
-        if (
-            last_epoch is not None
-            and last_epoch == store.epoch()
-            and self._ranked_tick.get(src) == tick
-            and src in self._lists
-        ):
-            # node tick and vector epoch both unchanged since the last
-            # rank: every input of the list is provably the same, skip
-            # the candidate scan outright (counters advance as if
-            # scanned, preserving parity with a stamp-free re-rank)
-            self._n_reevaluations += 1
-            self._entries_scanned += d
-            self._entries_skipped += d
-            self._dirty.discard(src)
-            # not a rebuild, so a pending log still applies (one can
-            # only be pending here if an adopted node's tick happens to
-            # equal the one this list was ranked at)
-            self._settle(src)
-            return self._lists[src]
         self._edge_log.pop(src, None)
         lst = self._list_for(src)
         self._n_reevaluations += 1
-        self._entries_scanned += d
+        self._entries_scanned += len(succ_fids)
         config = self.config
         p = config.weight_p
         q = 1.0 - p
-        use_sim = p > 0.0
-        use_freq = p < 1.0
-        vectors, versions = store.maps()
-        va = vectors.get(src)
-        ver_a = versions[src] if va is not None else 0
-        want_f1 = use_sim and va is not None
-        stamps = self._stamps.get(src)
-        record_stamps = stamps is not None or src in self._ranked_tick
-        new_stamps: dict[int, tuple] = {}
+        vectors = constructor.vectors.vector_map()
+        va = vectors.get(src) if p > 0.0 else None
+        if va is None:
+            sims = [0.0] * len(succ_fids)
+        else:
+            row = [vectors.get(dst) for dst in succ_fids]
+            known = [vb for vb in row if vb is not None]
+            self.sim_cache.add(len(known))
+            sims = similarity_row(va, known, config.path_method, config.path_mode)
+            if len(known) < len(row):
+                computed = iter(sims)
+                sims = [0.0 if vb is None else next(computed) for vb in row]
+        use_freq = p < 1.0 and n_x
         candidates: list[tuple[int, float]] = []
-        skipped = 0
-        # every stamp of a list carries the source version it was
-        # ranked at, so a moved source vector invalidates them all
-        live = (
-            stamps
-            if stamps is not None and next(iter(stamps.values()))[0] == ver_a
-            else None
-        )
-        # stamp pass: settle what the stamps can; ``sim is None`` marks
-        # the successors whose Function 1 goes to the row evaluation
-        pending: list[tuple] = []
-        row: list = []
-        for dst, n_xy in zip(succ_fids, succ_weights):
-            ver_b = versions.get(dst, 0)
-            sim = None
-            if live is not None:
-                st = live.get(dst)
-                if st is not None and st[1] == ver_b:
-                    if st[2] == n_xy and st[3] == n_x:
-                        # every input unchanged since the last rank:
-                        # reuse the degree, skip Functions 1 and 2
-                        skipped += 1
-                        candidates.append((dst, st[5]))
-                        new_stamps[dst] = st
-                        continue
-                    sim = st[4]  # vectors unchanged: Function 1 skipped
-            if sim is None:
-                vb = vectors.get(dst) if want_f1 else None
-                if vb is None:
-                    sim = 0.0
-                else:
-                    row.append(vb)
-            pending.append((dst, n_xy, ver_b, sim))
-        if row:
-            self.sim_cache.add(len(row))
-            computed = iter(
-                similarity_row(va, row, config.path_method, config.path_mode)
-            )
-        for dst, n_xy, ver_b, sim in pending:
-            if sim is None:
-                sim = next(computed)
-            if use_freq and n_x:
+        for dst, n_xy, sim in zip(succ_fids, succ_weights, sims):
+            if use_freq:
                 freq = n_xy / n_x
                 if freq > 1.0:
                     freq = 1.0
             else:
                 freq = 0.0
-            degree = sim * p + freq * q
-            candidates.append((dst, degree))
-            if record_stamps:
-                new_stamps[dst] = (ver_a, ver_b, n_xy, n_x, sim, degree)
+            candidates.append((dst, sim * p + freq * q))
         lst.rebuild(candidates)
-        if record_stamps and new_stamps:
-            self._stamps[src] = new_stamps
-        elif stamps is not None and not new_stamps:
-            self._stamps.pop(src, None)
-        self._entries_skipped += skipped
         self._dirty.discard(src)
         self._ranked_tick[src] = tick
-        self._ranked_epoch[src] = store.epoch()
         return lst
 
     def defer_edge(self, src: int, dst: int) -> None:
@@ -422,7 +335,7 @@ class CoMiner:
 
     def demote_rank(self, fid: int) -> None:
         """Forget that ``fid`` was ranked: mark it dirty and drop its
-        rank stamps, so the next flush or query re-ranks it even though
+        ranked tick, so the next flush or query re-ranks it even though
         the graph tick has not moved.
 
         The replication barrier uses this to stay invisible: it ranks
@@ -430,12 +343,9 @@ class CoMiner:
         but the primary's own schedule must still re-rank them at query
         time — the tick-skip in :meth:`flush_nodes` would otherwise
         serve the barrier-time degrees after later vector updates.
-        Per-edge stamps are kept (they validate against live versions,
-        so unchanged edges still skip Functions 1 and 2 on the re-rank).
         """
         self._dirty.add(fid)
         self._ranked_tick.pop(fid, None)
-        self._ranked_epoch.pop(fid, None)
 
     def is_dirty(self, fid: int) -> bool:
         """Whether ``fid``'s list awaits its deferred re-rank."""
@@ -508,34 +418,28 @@ class CoMiner:
         Correlator List (``None`` if the file never grew one).
 
         Used when a shard rebalance migrates the fid elsewhere: list
-        (with its edge log replayed), re-rank stamps, ranked tick and
-        dirty flag all leave with it — call :meth:`flush_nodes` (or
+        (with its edge log replayed), ranked tick and dirty flag all
+        leave with it — call :meth:`flush_nodes` (or
         :meth:`flush_nodes_report`) first if the shipped list must be
         freshly ranked.
         """
         self._settle(fid)
         self._dirty.discard(fid)
         self._ranked_tick.pop(fid, None)
-        self._stamps.pop(fid, None)
-        self._ranked_epoch.pop(fid, None)
         return self._lists.pop(fid, None)
 
     def adopt_migrated(self, fid: int, lst: CorrelatorList, tick: int) -> None:
         """Install a list migrated from another shard as ``fid``'s
-        authoritative state: any halo list/stamps/dirty flag this miner
-        accumulated for the fid are discarded (the migrated list came
-        from the owner; a pending edge log goes with them), and the
+        authoritative state: any halo list/dirty flag this miner
+        accumulated for the fid is discarded (the migrated list came
+        from the owner; a pending edge log goes with it), and the
         ranked tick is pinned to ``tick`` (the migrated graph node's
         change tick) so the next flush re-ranks only if the node
-        actually changes again. Stamps are dropped
-        rather than shipped — they are validated against live inputs, so
-        losing them costs a recomputation, never correctness.
+        actually changes again.
         """
         self._lists[fid] = lst
         self._edge_log.pop(fid, None)
         self._ranked_tick[fid] = tick
-        self._stamps.pop(fid, None)
-        self._ranked_epoch.pop(fid, None)
         self._dirty.discard(fid)
 
     def __getstate__(self):
@@ -564,7 +468,7 @@ class CoMiner:
         return RerankStats(
             n_reevaluations=self._n_reevaluations,
             entries_scanned=self._entries_scanned,
-            entries_skipped_unchanged=self._entries_skipped,
+            entries_skipped_unchanged=0,
             insort_ops=sum(lst.insort_ops for lst in self._lists.values()),
         )
 
@@ -592,23 +496,14 @@ class CoMiner:
         self._settle_all()
         return self._lists
 
-    def memo_bytes(self) -> int:
-        """Footprint of the re-rank memo: the per-entry stamps and the
-        ranked epochs. It buys speed, not correlations, so Table 4
-        leaves it out of the paper's footprint."""
-        return 56 * len(self._ranked_epoch) + sum(
-            88 + 144 * len(d) for d in self._stamps.values()
-        )
-
     def approx_bytes(self) -> int:
         """Footprint of all Correlator Lists, the dirty/ranked-tick
-        bookkeeping, the re-rank memo (:meth:`memo_bytes`) and the
-        pending edge logs (counted, never replayed)."""
+        bookkeeping and the pending edge logs (counted, never
+        replayed)."""
         return (
             64
             + sum(104 + lst.approx_bytes() for lst in self._lists.values())
             + 56 * len(self._ranked_tick)
             + 32 * len(self._dirty)
-            + self.memo_bytes()
             + sum(88 + 112 * len(log) for log in self._edge_log.values())
         )

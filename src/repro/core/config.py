@@ -20,10 +20,10 @@ class FarmerConfig:
     """All tunables of the FARMER model.
 
     The mining schedule itself is not a knob: ``observe`` marks the
-    requested file's Correlator List dirty and the stamped one-pass
-    re-rank runs on its first query, and a sharded service delivers
-    boundary echoes just in time. The paper-literal references (eager
-    per-request Algorithm 1, the entrywise stamp-free re-rank) live in
+    requested file's Correlator List dirty and the one-pass re-rank
+    runs on its first query, and a sharded service delivers boundary
+    echoes just in time. The paper-literal references (eager
+    per-request Algorithm 1, the entrywise re-rank) live in
     the test suite's oracle module and are compared against there.
 
     Attributes:
@@ -52,17 +52,6 @@ class FarmerConfig:
         correlator_capacity: max entries per Correlator List.
         prefetch_k: how many correlates the FPA prefetcher requests.
         op_filter: if set, only these operations are mined.
-        vector_freeze_threshold: if > 0, a file's semantic vector is
-            frozen (updates ignored, version stops bumping) once it has
-            changed this many times — the vector-stability heuristic. A
-            merged vector that survived N rewrites has saturated on the
-            file's sharing set. Freezing pays through the re-rank's
-            entry stamps: a frozen pair's version stops moving, so its
-            stamped similarity is reused instead of re-evaluated
-            (Function-1 evaluations fall to about a fifth of the
-            unfrozen run on the synthetic HP trace at 8). 0 (the
-            default) disables freezing: every request can still reshape
-            the vector, the paper's literal reading.
         n_shards: how many independent miner shards a
             :class:`~repro.service.ShardedFarmer` partitions the fid
             namespace across (1 = plain single-miner FARMER).
@@ -118,7 +107,6 @@ class FarmerConfig:
     correlator_capacity: int = 16
     prefetch_k: int = 4
     op_filter: tuple[str, ...] | None = None
-    vector_freeze_threshold: int = 0
     n_shards: int = 1
     shard_policy: str = "hash"
     router_virtual_nodes: int = 64
@@ -159,8 +147,6 @@ class FarmerConfig:
             raise ConfigError("correlator_capacity must be >= 1")
         if self.prefetch_k < 0:
             raise ConfigError("prefetch_k must be >= 0")
-        if self.vector_freeze_threshold < 0:
-            raise ConfigError("vector_freeze_threshold must be >= 0")
         if self.n_shards < 1:
             raise ConfigError("n_shards must be >= 1")
         if self.shard_policy not in ("hash", "range", "consistent_hash"):

@@ -38,7 +38,7 @@ class GraphConstructor:
             weight_fn=weight_schedule(config.weight_schedule),
         )
         # ``vectors`` may be injected so miner shards can share one
-        # namespace-global store (its versions key the re-rank stamps)
+        # namespace-global store
         self.vectors = vectors if vectors is not None else VectorStore(config, extractor)
         self.owns_vectors = vectors is None
 
@@ -65,10 +65,6 @@ class GraphConstructor:
     def vector_of(self, fid: int) -> SemanticVector | None:
         """Semantic vector currently representing ``fid`` (None if unseen)."""
         return self.vectors.get(fid)
-
-    def vector_version(self, fid: int) -> int:
-        """Version of ``fid``'s vector (0 if unseen; bumps on real change)."""
-        return self.vectors.version_of(fid)
 
     def n_vectors(self) -> int:
         """Number of files with a stored vector."""

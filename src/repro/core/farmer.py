@@ -26,10 +26,9 @@ rebuilds it first) and otherwise logged with its inputs, then replayed
 exactly on the next read of that list — so no Function 1 runs on the
 request itself. The full re-rank + stale-edge sweep happens on the first
 query of a dirty list (``correlators`` / ``predict`` / ``snapshot`` /
-``sorter``), where the re-rank's entry stamps rerun Function 1 only for
-pairs whose vectors actually changed. Query results therefore
-always reflect a full Algorithm-1 pass; when queries follow the
-triggering request (the FPA pattern) they are bit-identical to the
+``sorter``), which evaluates Functions 1 and 2 for every current
+successor. Query results therefore always reflect a full Algorithm-1
+pass; when queries follow the triggering request (the FPA pattern) they are bit-identical to the
 paper's eager per-request schedule (the test suite's oracle module
 keeps it as the reference), and between a request and the next query
 of some *other* file the lazy path serves strictly fresher degrees than

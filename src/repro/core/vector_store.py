@@ -13,28 +13,6 @@ A file's semantic vector must summarise *who touches it*. Three policies:
   library's vector overlaps every program currently linking it while a
   private file's vector stays a single context. The cap bounds memory and
   ages out stale contexts LRU-style.
-
-Every file's vector carries a monotonically increasing *version*, bumped
-only when an update actually changes the vector. Versions are what the
-bulk re-rank's entry stamps key on: as long as both endpoints' versions
-are unchanged, a stamped ``sim(x, y)`` is exact and need not be
-recomputed.
-
-Vector-stability heuristic (``FarmerConfig.vector_freeze_threshold``)
----------------------------------------------------------------------
-
-Under the "merge" policy a hot shared file's vector is rewritten dozens
-of times early in a trace while its sharing set is still being
-discovered, and every rewrite invalidates all of the file's stamped
-similarities. Once a vector has survived ``vector_freeze_threshold``
-rewrites it has effectively saturated — the distinct users/processes/
-hosts that touch the file have been seen — so further updates are
-dropped and the version stops bumping, which lets the stamps reuse
-most similarities: on the synthetic HP trace a threshold of 8 cuts
-Function-1 evaluations to about a fifth of the unfrozen run. The threshold is
-off (0) by default: freezing trades a little adaptivity (a file whose
-sharing set genuinely changes late keeps its saturated vector) for a
-large reduction in Function-1 recomputation.
 """
 
 from __future__ import annotations
@@ -74,8 +52,6 @@ class VectorStore:
         self.config = config
         self.extractor = extractor
         self._vectors: dict[int, SemanticVector] = {}
-        self._versions: dict[int, int] = {}
-        self._epoch = 0
         self._merge: dict[int, _MergeState] = {}
         # path string -> interned component ids; paths repeat across the
         # namespace, so tokenisation+interning is paid once per path
@@ -88,47 +64,65 @@ class VectorStore:
         )
         self._policy = config.sv_policy
         self._merge_cap = config.merge_cap
-        self._freeze_threshold = config.vector_freeze_threshold
-
-    def _store(self, fid: int, vector: SemanticVector) -> None:
-        """Install a vector, bumping the version only on a real change."""
-        if self._vectors.get(fid) != vector:
-            self._vectors[fid] = vector
-            self._versions[fid] = self._versions.get(fid, 0) + 1
-            self._epoch += 1
-
-    def _store_changed(self, fid: int, vector: SemanticVector) -> None:
-        """Install a vector the caller knows differs from the stored one
-        (merge-state change implies a different id set, so the equality
-        probe of :meth:`_store` would always say "changed")."""
-        self._vectors[fid] = vector
-        self._versions[fid] = self._versions.get(fid, 0) + 1
-        self._epoch += 1
-
-    def is_frozen(self, fid: int) -> bool:
-        """Whether ``fid``'s vector has saturated and no longer updates."""
-        threshold = self.config.vector_freeze_threshold
-        return threshold > 0 and self._versions.get(fid, 0) >= threshold
 
     def update(self, record: TraceRecord) -> None:
         """Fold one request into the file's vector."""
         fid = record.fid
-        threshold = self._freeze_threshold
-        if threshold > 0 and self._versions.get(fid, 0) >= threshold:
-            return
         policy = self._policy
         if policy == "first":
             if fid not in self._vectors:
-                self._store(fid, self.extractor.extract(record))
+                self._vectors[fid] = self.extractor.extract(record)
             return
         if policy == "latest":
-            self._store(fid, self.extractor.extract(record))
+            self._vectors[fid] = self.extractor.extract(record)
             return
-        # merge policy
+        # merge policy: a request that repeats an already-known context
+        # leaves every bucket's key set and the path untouched, so the
+        # merged vector is bit-identical — skip the rebuild entirely
+        # (the common case once a file's sharing set has been seen)
+        state = self._merge_state(fid)
+        if self._fold(state, record) or fid not in self._vectors:
+            self._vectors[fid] = self._build_merged(state)
+
+    def update_batch(self, records) -> None:
+        """Fold a whole batch of requests, deferring merged-vector builds.
+
+        Semantically identical to calling :meth:`update` per record (same
+        final vectors), but under the "merge" policy the
+        :class:`~repro.vsm.vector.SemanticVector` construction is
+        deferred: a file touched k times in the batch is rebuilt once at
+        the end instead of k times. Deferred builds are flushed before
+        returning, so no stale vector is ever visible outside this call.
+        """
+        if self._policy != "merge":
+            # "first"/"latest" build straight from the record (extract
+            # *is* the build — no rebuild redundancy to defer)
+            for record in records:
+                self.update(record)
+            return
+        vectors = self._vectors
+        fold = self._fold
+        merge_state = self._merge_state
+        pending: set[int] = set()
+        for record in records:
+            fid = record.fid
+            if fold(merge_state(fid), record) or fid not in vectors:
+                pending.add(fid)
+        merge = self._merge
+        for fid in pending:
+            vectors[fid] = self._build_merged(merge[fid])
+
+    def _merge_state(self, fid: int) -> _MergeState:
         state = self._merge.get(fid)
         if state is None:
             state = _MergeState()
             self._merge[fid] = state
+        return state
+
+    def _fold(self, state: _MergeState, record: TraceRecord) -> bool:
+        """Fold one request into a file's merge state; returns whether a
+        bucket's key set or the path changed, i.e. whether the merged
+        vector must be rebuilt."""
         cap = self._merge_cap
         vocab = self.extractor.vocabulary
         values = state.values
@@ -150,110 +144,12 @@ class VectorStore:
                 bucket[value] = vocab.scalar_token(attr, value)
                 if len(bucket) > cap:
                     bucket.popitem(last=False)
-        path_changed = False
-        if self._wants_path and record.path is not None and record.path != state.path:
-            state.path = record.path
-            state.path_ids = self._resolve_path_ids(record.path)
-            path_changed = True
-        # fast path: a request that repeats an already-known context
-        # leaves every bucket's key set and the path untouched, so the
-        # merged vector is bit-identical — skip the rebuild entirely
-        # (the common case once a file's sharing set has been seen).
-        if changed and not path_changed and fid in self._vectors:
-            # a bucket gained an id it lacked (ids are attr-namespaced and
-            # unique), so the new vector provably differs — no eq probe
-            self._store_changed(fid, self._build_merged(state))
-        elif changed or path_changed or fid not in self._vectors:
-            # a changed path *string* can still tokenise to the same ids,
-            # so this path keeps the equality probe
-            self._store(fid, self._build_merged(state))
-
-    def update_batch(self, records) -> None:
-        """Fold a whole batch of requests, deferring merged-vector builds.
-
-        Semantically identical to calling :meth:`update` per record —
-        same final vectors, same per-file *version trajectory* (the
-        freeze threshold and the re-rank stamps key on versions, so
-        the trajectory is part of the contract) — but under the "merge"
-        policy the actual :class:`~repro.vsm.vector.SemanticVector`
-        construction is deferred: a version bump is provable from the
-        bucket fold alone (a bucket gaining a namespaced id it lacked
-        guarantees a different vector), so a file touched k times in the
-        batch is rebuilt once at the end instead of k times. The one
-        case that needs the stored vector mid-batch — a changed path
-        *string* with unchanged buckets, whose new ids may tokenise
-        equal — materialises the pending build first and keeps the
-        equality probe. Deferred builds are flushed before returning,
-        so no stale vector is ever visible outside this call.
-        """
-        policy = self._policy
-        if policy != "merge":
-            # "first"/"latest" build straight from the record (extract
-            # *is* the build — no rebuild redundancy to defer)
-            for record in records:
-                self.update(record)
-            return
-        threshold = self._freeze_threshold
-        versions = self._versions
-        vectors = self._vectors
-        merge = self._merge
-        cap = self._merge_cap
-        vocab = self.extractor.vocabulary
-        getters = self._getters
-        wants_path = self._wants_path
-        pending: set[int] = set()
-        for record in records:
-            fid = record.fid
-            if threshold > 0 and versions.get(fid, 0) >= threshold:
-                continue
-            state = merge.get(fid)
-            if state is None:
-                state = _MergeState()
-                merge[fid] = state
-            values = state.values
-            changed = False
-            for attr, getter in getters:
-                value = getter(record)
-                if value is None:
-                    continue
-                bucket = values.get(attr)
-                if bucket is None:
-                    bucket = OrderedDict()
-                    values[attr] = bucket
-                if value in bucket:
-                    bucket.move_to_end(value)
-                else:
-                    changed = True
-                    bucket[value] = vocab.scalar_token(attr, value)
-                    if len(bucket) > cap:
-                        bucket.popitem(last=False)
-            new_path = record.path if wants_path else None
-            path_changed = new_path is not None and new_path != state.path
-            known = fid in vectors or fid in pending
-            if not changed and path_changed and known:
-                # the only branch whose bump decision needs the stored
-                # vector (new path ids may tokenise equal): settle any
-                # pending build first — this record left the buckets
-                # untouched, so the pre-fold vector is still current
-                if fid in pending:
-                    vectors[fid] = self._build_merged(state)
-                    pending.discard(fid)
-                state.path = new_path
-                state.path_ids = self._resolve_path_ids(new_path)
-                self._store(fid, self._build_merged(state))
-            else:
-                if path_changed:
-                    state.path = new_path
-                    state.path_ids = self._resolve_path_ids(new_path)
-                if changed or path_changed or not known:
-                    # provable bump: a bucket gained an id it lacked, or
-                    # the fid is new (first store always bumps) — defer
-                    # the build, count the version now
-                    versions[fid] = versions.get(fid, 0) + 1
-                    self._epoch += 1
-                    pending.add(fid)
-        for fid in pending:
-            vectors[fid] = self._build_merged(merge[fid])
+        path = record.path
+        if self._wants_path and path is not None and path != state.path:
+            state.path = path
+            state.path_ids = self._resolve_path_ids(path)
+            changed = True
+        return changed
 
     def _build_merged(self, state: _MergeState) -> SemanticVector:
         scalars: list[int] = []
@@ -274,30 +170,17 @@ class VectorStore:
         """Current vector of ``fid`` (None if never seen)."""
         return self._vectors.get(fid)
 
-    def version_of(self, fid: int) -> int:
-        """Version of ``fid``'s vector: 0 if unseen, then +1 per change."""
-        return self._versions.get(fid, 0)
-
-    def epoch(self) -> int:
-        """Monotonic store-wide change counter: bumps once per version
-        bump anywhere in the store, so a consumer holding the epoch it
-        last read at can tell in O(1) whether *any* vector changed —
-        the bulk kernel's whole-list-skip gate."""
-        return self._epoch
-
-    def maps(self) -> tuple[dict[int, SemanticVector], dict[int, int]]:
-        """The live ``(fid → vector, fid → version)`` dicts — the bulk
-        re-rank kernel's read view. Treat strictly as read-only; writes
-        go through :meth:`update`."""
-        return self._vectors, self._versions
+    def vector_map(self) -> dict[int, SemanticVector]:
+        """The live fid → vector dict — the re-rank kernel's read view.
+        Treat strictly as read-only; writes go through :meth:`update`."""
+        return self._vectors
 
     def __len__(self) -> int:
         return len(self._vectors)
 
     def approx_bytes(self) -> int:
-        """Vector store footprint (merge state and version table included)."""
+        """Vector store footprint (merge state included)."""
         total = 64 + sum(104 + v.approx_bytes() for v in self._vectors.values())
-        total += 56 * len(self._versions)
         for state in self._merge.values():
             total += 64
             for bucket in state.values.values():

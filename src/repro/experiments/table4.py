@@ -50,10 +50,7 @@ def run(
         farmer = Farmer(farmer_config_for(trace, max_strength=0.4))
         farmer.mine(records)
         stats = farmer.stats()
-        # Table 4 accounts the paper's reference model; the re-rank memo
-        # is a speed-for-memory trade measured by the perf benchmarks,
-        # not part of the paper's footprint claim
-        memory_bytes = stats.memory_bytes - farmer.miner.memo_bytes()
+        memory_bytes = stats.memory_bytes
         measured_mb = memory_bytes / 1e6
         bytes_per_file = memory_bytes / max(1, stats.n_files)
         extrapolated_mb = bytes_per_file * ORIGINAL_FILES[trace] / 1e6

@@ -30,9 +30,10 @@ meaning — the GET is a query, the POST is a barrier. When the service
 runs with a data directory, ``GET /stats`` carries the WAL/snapshot/
 recovery rollup under ``durability``.
 
-Error mapping: bad arguments → 400 (an ``/ingest`` line that does not
-parse, or that the WAL refuses, names its line; the lines before it
-were offered); unknown path → 404; an operation
+Error mapping: bad arguments → 400 (``/ingest`` checks every line
+before it offers any — a line that does not parse, has an integer
+outside int64 or a path/op that is not UTF-8 text is named, and nothing
+of the body is accepted); unknown path → 404; an operation
 the service refuses (failed shard, replication disabled, bad config)
 → 409 with the error text. The handler never serves tracebacks.
 """
@@ -54,6 +55,7 @@ from repro.errors import (
 )
 from repro.online.pipeline import OnlineService
 from repro.traces.io import record_from_dict
+from repro.traces.record import TraceRecord
 
 __all__ = ["AdminApiServer"]
 
@@ -64,6 +66,24 @@ def _jsonable(value):
     if is_dataclass(value) and not isinstance(value, type):
         return asdict(value)
     return value
+
+
+def _ingest_record(line: str, lineno: int) -> TraceRecord:
+    """One ``/ingest`` line as a record the service will take: parsed,
+    every integer an int64 (:func:`record_from_dict`), and path and op
+    UTF-8 text (what the WAL journals)."""
+    record = record_from_dict(json.loads(line), lineno)
+    for name in ("path", "op"):
+        value = getattr(record, name)
+        if value is None:  # no path
+            continue
+        try:
+            value.encode()
+        except (AttributeError, UnicodeEncodeError):
+            raise TraceFormatError(
+                f"bad trace record: {name}={value!r} is not UTF-8 text", lineno
+            ) from None
+    return record
 
 
 class _ApiError(Exception):
@@ -250,27 +270,24 @@ class AdminApiServer:
                 online = server.online
                 if url.path == "/ingest":
                     def ingest():
-                        results: dict[str, int] = {}
+                        # all or nothing: every line is checked before
+                        # the first offer, so a refused body leaves the
+                        # queue and the WAL untouched
+                        records = []
                         for lineno, line in enumerate(
                             self._body().decode("utf-8").splitlines(), 1
                         ):
                             if not line.strip():
                                 continue
                             try:
-                                record = record_from_dict(
-                                    json.loads(line), lineno
-                                )
+                                records.append(_ingest_record(line, lineno))
                             except Exception as exc:
                                 raise _ApiError(
                                     400, f"bad record on line {lineno}: {exc}"
                                 )
-                            try:
-                                outcome = online.offer(record).value
-                            except TraceFormatError as exc:
-                                # the WAL refused it: nothing was journaled
-                                raise _ApiError(
-                                    400, f"bad record on line {lineno}: {exc}"
-                                )
+                        results: dict[str, int] = {}
+                        for record in records:
+                            outcome = online.offer(record).value
                             results[outcome] = results.get(outcome, 0) + 1
                         return {"admission": results}
 

@@ -53,7 +53,7 @@ from repro.core.config import FarmerConfig
 from repro.core.sorter import CorrelationSnapshot
 from repro.durability.manager import DurabilityManager, DurabilityStats
 from repro.durability.snapshot import SnapshotReport
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceFormatError
 from repro.online.telemetry import LatencySummary, Telemetry
 from repro.service.sharded import (
     AutoRebalanceReport,
@@ -62,6 +62,7 @@ from repro.service.sharded import (
     StreamIngestReport,
 )
 from repro.service.stats import ServiceStats
+from repro.traces.io import int64_overflow
 from repro.traces.record import TraceRecord
 
 __all__ = [
@@ -201,10 +202,19 @@ class IngestPipeline:
 
     def offer(self, record: TraceRecord) -> Admission:
         """Admit, degrade, defer or shed one record (see the module
-        docstring for the watermark ladder)."""
+        docstring for the watermark ladder).
+
+        Raises:
+            TraceFormatError: for a record with an integer field outside
+                int64 (the miner's graph arrays cannot hold it), before
+                anything is queued or journaled; it counts as offered.
+        """
         policy = self.policy
         with self._lock:
             self._n_offered += 1
+            overflow = int64_overflow(record)
+            if overflow is not None:
+                raise TraceFormatError(f"refusing {record!r}: {overflow}")
             depth = len(self._queue)
             if depth >= policy.capacity:
                 self._n_shed += 1

@@ -17,8 +17,7 @@ Two components are deliberately *not* sharded:
 * the **vocabulary** (interned attribute tokens) — ids must agree across
   shards for vectors to be comparable;
 * the **vector store** — a file's semantic vector is a property of the
-  namespace, not of a partition, so one store holds the truth and its
-  monotonic versions are global.
+  namespace, not of a partition, so one store holds the truth.
 
 Every shard also reports into one shared Function-1 evaluation counter
 (:class:`~repro.core.cominer.F1Counter`, ``ShardedFarmer.sim_cache``),

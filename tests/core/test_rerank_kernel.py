@@ -1,14 +1,17 @@
 """The one-pass re-rank against the entrywise reference kernel.
 
 The acceptance property for the re-rank: over a randomized 20k-record
-synthetic trace, a production Farmer (stamped one-pass re-rank) returns
-bit-identical query results to the entry-by-entry, stamp-free reference
+synthetic trace, a production Farmer (one-pass re-rank) returns
+bit-identical query results to the entry-by-entry reference
 (``tests.oracle.entrywise_kernel``), under both the lazy and the eager
-schedule — while doing measurably less work (no insorts during
-re-ranks, fewer Function-1 evaluations).
+schedule, with equal re-rank, scan and Function-1 counts and no
+insorts during re-ranks. A derandomized property test checks the same
+over drawn configs and short generated traces.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
@@ -61,8 +64,8 @@ class TestKernelEquivalence:
             assert prod.predict(record.fid) == expected
 
     def test_batch_mine_equivalence(self):
-        """Chunked batch mining (the incremental service pattern, where
-        the stamps actually skip work) stays bit-identical."""
+        """Chunked batch mining (the incremental service pattern) stays
+        bit-identical, with the same Function-1 count."""
         trace = generate_trace("hp", 8_000, seed=5)
         prod, ref = production_and_reference(max_strength=0.3)
         for start in range(0, len(trace), 250):
@@ -75,10 +78,7 @@ class TestKernelEquivalence:
             with entrywise_kernel():
                 expected = ref.correlators(fid)
             assert prod.correlators(fid) == expected
-        # the stamps must have skipped at least some unchanged entries
-        # (window-straddling predecessors across chunk boundaries)
-        assert prod.rerank_stats().entries_skipped_unchanged > 0
-        assert ref.rerank_stats().entries_skipped_unchanged == 0
+        assert prod.f1_evaluations() == ref.f1_evaluations()
 
     def test_small_capacity_overflow_equivalence(self):
         """The capacity cut is where ranking paths could diverge; pin
@@ -105,7 +105,8 @@ def _fpa(farmer: Farmer, trace) -> Farmer:
 class TestOpCounts:
     def test_bulk_rerank_never_insorts(self):
         """Production re-ranks cost zero binary insertions; the
-        entrywise reference pays one per scanned entry."""
+        entrywise reference pays one per scanned entry. Both evaluate
+        Function 1 once per scanned pair."""
         trace = generate_trace("hp", 3_000, seed=3)
         prod, ref = production_and_reference(max_strength=0.3)
         _fpa(prod, trace)
@@ -115,27 +116,9 @@ class TestOpCounts:
         entry = ref.rerank_stats()
         assert bulk.n_reevaluations == entry.n_reevaluations
         assert bulk.entries_scanned == entry.entries_scanned
+        assert prod.f1_evaluations() == ref.f1_evaluations()
         # production insorts come only from edge-log replays
         assert bulk.insort_ops < entry.insort_ops / 2
-
-    def test_stamps_cut_function1_requests(self):
-        """With stable vectors, the per-entry stamps reuse most
-        similarities instead of re-evaluating Function 1 (the entrywise
-        reference counts Function 1 once per scanned pair, as a
-        stamp-free re-rank does)."""
-        trace = generate_trace("hp", 4_000, seed=9)
-        stamped, plain = production_and_reference(vector_freeze_threshold=8)
-        _fpa(stamped, trace)
-        with entrywise_kernel():
-            _fpa(plain, trace)
-        # identical outputs...
-        fids = set(stamped.constructor.graph.nodes())
-        for fid in fids:
-            with entrywise_kernel():
-                expected = plain.correlators(fid)
-            assert stamped.correlators(fid) == expected
-        # ...with far fewer Function-1 evaluations
-        assert stamped.f1_evaluations() < plain.f1_evaluations() / 2
 
     def test_rerank_stats_exposed_via_farmer_stats(self):
         farmer = Farmer()
@@ -144,15 +127,14 @@ class TestOpCounts:
         assert stats.rerank == farmer.rerank_stats()
         assert stats.rerank.n_reevaluations > 0
         assert stats.rerank.entries_scanned > 0
+        assert stats.rerank.entries_skipped_unchanged == 0
 
 
 class TestStampCorrectness:
     def test_stamp_never_serves_stale_degree(self):
-        """A stamp only matches when every input matches, so a changed
-        vector or frequency always recomputes — spot-check by forcing
-        vector churn between queries."""
-        from tests.conftest import make_record
-
+        """A re-rank recomputes from current state, so a changed vector
+        or frequency always shows in the next query — spot-check by
+        forcing vector churn between queries."""
         cfg = FarmerConfig(max_strength=0.0, sv_policy="latest", weight_p=0.9)
         farmer = Farmer(cfg)
         for i in range(6):
@@ -166,60 +148,33 @@ class TestStampCorrectness:
         assert after[2] != before[2]
 
 
-def _assert_second_rank_skips_whole_list(config: FarmerConfig) -> None:
-    """mine → dirty+query (primes the skip state) → dirty+query again:
-    the second rank must skip the full candidate scan, advancing
-    ``entries_skipped_unchanged`` by exactly the successor count while
-    serving the identical list."""
-    trace = generate_trace("hp", 2_000, seed=17)
-    farmer = Farmer(config)
-    farmer.mine(trace)
-    node_map = farmer.constructor.graph.node_map()
-    fid = max(node_map, key=lambda g: len(node_map[g].succ_fids))
-    d = len(node_map[fid].succ_fids)
-    assert d > 0
-    farmer.miner.mark_dirty(fid)
-    first = farmer.correlators(fid)
-    farmer.miner.mark_dirty(fid)
-    before = farmer.rerank_stats()
-    again = farmer.correlators(fid)
-    after = farmer.rerank_stats()
-    assert again == first
-    assert after.n_reevaluations - before.n_reevaluations == 1
-    assert after.entries_scanned - before.entries_scanned == d
-    assert after.entries_skipped_unchanged - before.entries_skipped_unchanged == d
-
-
 class TestFullSkip:
-    def test_bulk_whole_list_epoch_skip(self):
-        """The re-rank's (tick, epoch) stamp proves the whole list
-        unchanged and skips the scan."""
-        _assert_second_rank_skips_whole_list(FarmerConfig())
-
     def test_skip_invalidated_by_vector_churn(self):
-        """A vector-store epoch move disarms the full skip: the next
-        rank rescans instead of serving the stale list."""
+        """Nothing skips a re-rank: after a successor's vector churns,
+        a hand-forced re-rank rescans and serves the current degree,
+        and the skip counter stays at 0."""
         farmer = Farmer(FarmerConfig(sv_policy="latest", max_strength=0.0))
         for i in range(6):
             farmer.observe(make_record(1, uid=1, pid=1, host=1, ts=2 * i))
             farmer.observe(make_record(2, uid=1, pid=1, host=1, ts=2 * i + 1))
         farmer.miner.mark_dirty(1)
-        farmer.correlators(1)  # skip state now primed
+        before_list = {e.fid: e.degree for e in farmer.correlators(1)}
         # churn fid 2's vector (new uid/pid/host => new scalar ids)
         farmer.observe(make_record(2, uid=9, pid=9, host=9, ts=100))
         farmer.miner.mark_dirty(1)
         before = farmer.rerank_stats()
         after_list = {e.fid: e.degree for e in farmer.correlators(1)}
         stats = farmer.rerank_stats()
-        assert stats.entries_skipped_unchanged == before.entries_skipped_unchanged
+        assert stats.n_reevaluations == before.n_reevaluations + 1
+        assert stats.entries_skipped_unchanged == 0
         assert after_list[2] == pytest.approx(farmer.correlation_degree(1, 2))
+        assert after_list[2] != before_list[2]
 
 
 class TestStampReuseEquivalence:
     def test_vector_churn_interleaved_queries(self):
-        """Per-entry stamp reuse under the churny "latest" policy stays
-        bit-identical to the stamp-free entrywise oracle at every
-        query."""
+        """Under the churny "latest" policy the re-rank stays
+        bit-identical to the entrywise oracle at every query."""
         trace = generate_trace("hp", 6_000, seed=29)
         fa, fb = production_and_reference(
             max_strength=0.0, sv_policy="latest", weight_p=0.9
@@ -241,14 +196,13 @@ class TestStampReuseEquivalence:
             dict(path_mode="prefix"),
             dict(weight_p=1.0),
             dict(weight_p=0.0),
-            dict(vector_freeze_threshold=4),
         ],
-        ids=["dpa", "prefix", "p=1", "p=0", "freeze"],
+        ids=["dpa", "prefix", "p=1", "p=0"],
     )
     def test_off_fast_path_configs(self, overrides):
         """Configs that leave the inlined IPA-bag row (dpa, prefix
         mode) or degenerate the Function-2 blend still agree with the
-        stamp-free oracle."""
+        entrywise oracle over a 3k trace, Function-1 count included."""
         trace = generate_trace("hp", 3_000, seed=31)
         fa, fb = production_and_reference(max_strength=0.0, **overrides)
         for i, record in enumerate(trace):
@@ -263,6 +217,56 @@ class TestStampReuseEquivalence:
             with entrywise_kernel():
                 expected = fb.correlators(fid)
             assert fa.correlators(fid) == expected
+        assert fa.f1_evaluations() == fb.f1_evaluations()
+
+
+_FIDS = range(8)
+_PATHS = (None, "/a/b/c", "/a/b/d", "/a/a/b", "/x/a/b/c", "/x/y")
+_traces = st.lists(
+    st.tuples(
+        st.sampled_from(_FIDS),
+        st.integers(0, 2),  # uid
+        st.integers(0, 2),  # pid
+        st.sampled_from(_PATHS),
+    ),
+    min_size=5,
+    max_size=80,
+)
+
+
+class TestRerankProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        trace=_traces,
+        weight_p=st.sampled_from([0.0, 0.5, 1.0]),
+        path_method=st.sampled_from(["ipa", "dpa"]),
+        path_mode=st.sampled_from(["bag", "prefix"]),
+        sv_policy=st.sampled_from(["merge", "latest", "first"]),
+        successor_capacity=st.sampled_from([1, 3, 32]),
+        correlator_capacity=st.sampled_from([1, 2, 16]),
+        max_strength=st.sampled_from([0.0, 0.3, 0.6]),
+    )
+    def test_one_pass_matches_entrywise(self, trace, **knobs):
+        """One-pass re-rank ≡ ``entrywise_kernel()`` in FPA lockstep
+        (observe, then predict the requested file): identical
+        predictions and final lists, equal re-rank, scan and
+        Function-1 counts."""
+        fa, fb = production_and_reference(**knobs)
+        for ts, (fid, uid, pid, path) in enumerate(trace):
+            record = make_record(fid, ts=ts, uid=uid, pid=pid, path=path)
+            fa.observe(record)
+            with entrywise_kernel():
+                fb.observe(record)
+                expected = fb.predict(fid)
+            assert fa.predict(fid) == expected, ts
+        for fid in _FIDS:
+            with entrywise_kernel():
+                expected = fb.correlators(fid)
+            assert fa.correlators(fid) == expected
+        got, want = fa.rerank_stats(), fb.rerank_stats()
+        assert got.n_reevaluations == want.n_reevaluations
+        assert got.entries_scanned == want.entries_scanned
+        assert fa.f1_evaluations() == fb.f1_evaluations()
 
 
 class TestWideNodes:
@@ -286,13 +290,12 @@ class TestWideNodes:
             assert fa.correlators(fid) == expected
 
 
-class TestMemoAccounting:
+class TestFootprint:
     @pytest.mark.parametrize("trace_name", ["hp", "ins"])
-    def test_memo_is_the_only_footprint_difference(self, trace_name):
-        """On a one-shot ``mine`` the re-rank memo (``memo_bytes``: the
-        entry stamps and ranked epochs) is all that separates the
-        production footprint from the stamp-free reference's — the
-        quantity Table 4 subtracts."""
+    def test_footprint_equals_reference(self, trace_name):
+        """A re-rank keeps nothing beside the list, so after a one-shot
+        ``mine`` the production footprint equals the entrywise
+        reference's to the byte."""
         from repro.experiments.common import farmer_config_for
 
         trace = generate_trace(trace_name, 2_500, seed=1)
@@ -300,6 +303,4 @@ class TestMemoAccounting:
         prod = Farmer(config).mine(trace)
         with entrywise_kernel():
             ref = Farmer(config).mine(trace)
-        assert prod.miner.memo_bytes() > 0
-        assert ref.miner.memo_bytes() == 0
-        assert ref.memory_bytes() == prod.memory_bytes() - prod.miner.memo_bytes()
+        assert prod.memory_bytes() == ref.memory_bytes()

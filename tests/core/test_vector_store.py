@@ -109,74 +109,30 @@ class TestMergePolicy:
         assert store.approx_bytes() > before
 
 
-class TestVectorVersions:
-    def test_unseen_is_zero(self):
-        assert store_for("merge").version_of(42) == 0
-
-    def test_first_update_bumps(self):
-        store = store_for("merge")
-        store.update(make_record(1))
-        assert store.version_of(1) == 1
-
-    def test_identical_update_does_not_bump(self):
-        """The version moves only when the vector actually changes."""
-        for policy in ("merge", "latest"):
-            store = store_for(policy)
-            store.update(make_record(1, uid=1, path="/a/b"))
-            v1 = store.version_of(1)
-            store.update(make_record(1, uid=1, path="/a/b"))
-            assert store.version_of(1) == v1
-
-    def test_changed_attributes_bump(self):
-        for policy in ("merge", "latest"):
-            store = store_for(policy)
-            store.update(make_record(1, uid=1))
-            store.update(make_record(1, uid=2))
-            assert store.version_of(1) == 2
-
-    def test_first_policy_freezes_version(self):
-        store = store_for("first")
-        store.update(make_record(1, uid=1))
-        store.update(make_record(1, uid=2))
-        assert store.version_of(1) == 1
-
-    def test_versions_monotonic(self):
-        store = store_for("latest")
-        versions = []
-        for uid in (1, 2, 2, 3, 1):
-            store.update(make_record(1, uid=uid))
-            versions.append(store.version_of(1))
-        assert versions == sorted(versions)
-        assert versions[-1] == 4  # uid 2->2 did not bump
-
-
 class TestUpdateBatch:
     @pytest.mark.parametrize("policy", ["merge", "latest", "first"])
-    @pytest.mark.parametrize("freeze", [0, 4], ids=["nofreeze", "freeze4"])
-    def test_matches_update_loop(self, policy, freeze):
+    def test_matches_update_loop(self, policy):
         """Batch folding is observably identical to the per-record
-        loop: same vectors *and* the same per-file version trajectory
-        (the freeze threshold and the re-rank stamps key on versions)."""
+        loop: the same vectors for the same files."""
         pytest.importorskip("numpy")  # the HP profile draws from numpy
         trace = generate_trace("hp", 3_000, seed=11)
-        cfg = FarmerConfig(sv_policy=policy, vector_freeze_threshold=freeze)
+        cfg = FarmerConfig(sv_policy=policy)
         batched = Farmer(cfg).constructor.vectors
         looped = Farmer(cfg).constructor.vectors
         batched.update_batch(trace)
         for record in trace:
             looped.update(record)
-        va, ra = batched.maps()
-        vb, rb = looped.maps()
-        assert ra == rb
+        va = batched.vector_map()
+        vb = looped.vector_map()
         assert va.keys() == vb.keys()
         for fid in va:
             assert va[fid].scalar_ids == vb[fid].scalar_ids, fid
             assert va[fid].path_ids == vb[fid].path_ids, fid
 
     def test_alternating_paths_probe_case(self):
-        """A path *string* change with already-merged ids is the one
-        case the deferred build must materialise mid-batch (the
-        equality probe); alternate two paths to force it repeatedly."""
+        """A path *string* change with unchanged buckets still rebuilds
+        the vector; alternate two paths so the batch defers that
+        rebuild repeatedly."""
         records = [
             make_record(1, ts=i, path=("/a/x", "/b/x")[i % 2])
             for i in range(12)
@@ -187,9 +143,9 @@ class TestUpdateBatch:
         batched.update_batch(records)
         for record in records:
             looped.update(record)
-        va, ra = batched.maps()
-        vb, rb = looped.maps()
-        assert ra == rb
+        va = batched.vector_map()
+        vb = looped.vector_map()
+        assert va.keys() == vb.keys()
         for fid in va:
             assert va[fid].scalar_ids == vb[fid].scalar_ids
             assert va[fid].path_ids == vb[fid].path_ids

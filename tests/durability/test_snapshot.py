@@ -171,6 +171,33 @@ class TestConfigMismatch:
         for field in removed:
             assert field in str(excinfo.value)
 
+    def test_snapshot_with_freeze_threshold_is_refused_before_load(
+        self, tmp_path, records, monkeypatch
+    ):
+        """A data directory written while the config had
+        ``vector_freeze_threshold`` (the re-rank then kept entry stamps
+        and ranked epochs in every miner) is refused by the config
+        check, naming the field, before any blob is unpickled — no
+        miner is ever restored with the stale memo attributes."""
+        manager = DurabilityManager(tmp_path)
+        manager.checkpoint(build_service(CFG, records[:1_000]), 1_000)
+        manager.close()
+        manifest_path = latest_snapshot(manager.snapshot_dir) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["vector_freeze_threshold"] = 0
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = []
+        monkeypatch.setattr(
+            "repro.durability.manager.load_snapshot", loaded.append
+        )
+        booting = DurabilityManager(tmp_path)
+        with pytest.raises(SnapshotMismatchError) as excinfo:
+            booting.recover(CFG)
+        booting.close()
+        assert "vector_freeze_threshold: snapshot=0 boot=None" in str(excinfo.value)
+        assert loaded == []
+        assert booting.recovery is None
+
     @pytest.mark.parametrize(
         "legacy, needle",
         [

@@ -166,8 +166,10 @@ class TestErrorMapping:
 
     def test_out_of_int64_ingest_record_400(self, served):
         """A value the miner cannot hold is refused at parsing: 400
-        naming the line, and the service keeps serving."""
+        naming the line, nothing of the body is accepted (not even the
+        good line before it), and the service keeps serving."""
         online, url = served
+        before = online.pipeline.counters()
         lines = [
             {"ts": 1, "fid": 9, "uid": 1, "pid": 1, "host": 1},
             {"ts": 2, "fid": 2**63, "uid": 1, "pid": 1, "host": 1},
@@ -178,7 +180,7 @@ class TestErrorMapping:
         code, body = status_of(exc_info)
         assert code == 400 and "line 2" in body["error"]
         assert "fid" in body["error"]
-        assert online.pipeline.counters().n_accepted == 201
+        assert online.pipeline.counters() == before
         online.drain()
         assert get(url, "/health")["status"] == "ok"
 
@@ -199,6 +201,45 @@ class TestErrorMapping:
             assert get(api.url, "/health")["status"] == "ok"
         assert manager.wal.next_seq == 0
         assert online.pipeline.counters().n_accepted == 0
+        manager.close()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"fid": 2**63},
+            {"path": "/\ud800"},
+            {"op": "re\udfffad"},
+            {"path": 5},
+        ],
+        ids=["fid", "path-surrogate", "op-surrogate", "path-not-text"],
+    )
+    def test_ingest_is_all_or_nothing(self, tmp_path, bad):
+        """A body whose last line is refused accepts none of its lines:
+        the WAL stays byte-identical and the counters do not move, so a
+        client can fix the line and resend the whole body."""
+        manager = DurabilityManager(tmp_path)
+        online = OnlineService(FarmerConfig(n_shards=2), durability=manager)
+        good = {"ts": 1, "fid": 9, "uid": 1, "pid": 1, "host": 1, "path": "/a"}
+        online.offer(sequence_records([1])[0])
+        segment = max((tmp_path / "wal").glob("wal-*.log"))
+        wal_before = segment.read_bytes()
+        before = online.pipeline.counters()
+        raw = "\n".join(
+            json.dumps(line) for line in (good, good, {**good, **bad})
+        ).encode()
+        with AdminApiServer(online) as api:
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                post(api.url, "/ingest", raw=raw)
+            code, body = status_of(exc_info)
+            assert code == 400 and "line 3" in body["error"]
+            assert next(iter(bad)) in body["error"]
+            assert segment.read_bytes() == wal_before
+            assert online.pipeline.counters() == before
+            fixed = b"\n".join(raw.splitlines()[:2])
+            assert post(api.url, "/ingest", raw=fixed) == {
+                "admission": {"accepted": 2}
+            }
+        assert manager.wal.next_seq == 3
         manager.close()
 
     def test_service_refusal_maps_to_409(self):

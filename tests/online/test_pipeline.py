@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import FarmerConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceFormatError
 from repro.online.pipeline import (
     Admission,
     AdmissionPolicy,
@@ -144,6 +144,22 @@ class TestOnlineService:
         assert report.n_consumed == 10
         assert online.service.n_observed == 10
         assert online.pipeline.depth == 0
+
+    def test_out_of_int64_offer_is_refused_without_data_dir(self):
+        """With no WAL to refuse it, ``offer`` itself refuses a record
+        the miner's int64 graph arrays cannot hold, so the next drain
+        mines the good records instead of losing the batch."""
+        online = OnlineService(FarmerConfig(n_shards=1))
+        assert online.offer(make_record(1, ts=0)) is Admission.ACCEPTED
+        with pytest.raises(TraceFormatError, match="fid"):
+            online.offer(make_record(2**63, ts=1))
+        assert online.offer(make_record(1, ts=2)) is Admission.ACCEPTED
+        assert online.pipeline.depth == 2
+        report = online.drain()
+        assert report.n_consumed == 2
+        assert online.service.n_observed == 2
+        counters = online.pipeline.counters()
+        assert (counters.n_offered, counters.n_accepted) == (3, 2)
 
     def test_stats_rollup_fields(self):
         cfg = FarmerConfig(n_shards=2, max_strength=0.3)

@@ -1,12 +1,12 @@
 """Reference schedules the production mining path is compared against.
 
 The library runs one schedule: ``Farmer.observe`` marks the requested
-file's Correlator List dirty, the stamped one-pass re-rank
+file's Correlator List dirty, the one-pass re-rank
 (``CoMiner.reevaluate``) runs on its first query, and a sharded service
 delivers boundary echoes just in time. The paper-literal alternatives
 live here, outside the hot code, as oracles:
 
-* :func:`entrywise_kernel` — the stamp-free, entry-by-entry re-rank
+* :func:`entrywise_kernel` — the entry-by-entry re-rank
   (clear the list, then one ``CorrelatorList.update`` per successor);
 * :func:`refresh_edge` — the immediate single-edge refresh that
   ``CoMiner.defer_edge`` logs and replays;
@@ -35,13 +35,9 @@ __all__ = ["eager_observe", "entrywise_kernel", "refresh_edge", "scan_eviction"]
 def _reevaluate_entrywise(self: CoMiner, src: int) -> CorrelatorList:
     """Re-rank ``src`` from scratch: clear the list, then offer every
     current successor through ``CorrelatorList.update`` (one binary
-    insertion each) with a per-pair Function 1. No stamp is read or
-    written; ``src``'s memo is dropped, so a production re-rank after
-    this one never trusts a stamp it did not write."""
+    insertion each) with a per-pair Function 1."""
     successors = self.constructor.graph.successors(src)
     self._edge_log.pop(src, None)
-    self._stamps.pop(src, None)
-    self._ranked_epoch.pop(src, None)
     lst = self._list_for(src)
     self._n_reevaluations += 1
     self._entries_scanned += len(successors)

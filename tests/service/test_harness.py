@@ -17,8 +17,6 @@ class TestServiceCli:
                     "600",
                     "--shards",
                     "1,2",
-                    "--freeze",
-                    "8",
                 ]
             )
             == 0
@@ -74,6 +72,16 @@ class TestServiceCli:
             main(["service", "--events", "100", *flags])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_freeze_flag_is_rejected(self, capsys):
+        """Vectors never freeze; there is no threshold to set."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["service", "--events", "100", "--freeze", "8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["service", "--help"])
+        assert "--freeze" not in capsys.readouterr().out
 
     def test_help_lists_no_parallel_flags(self, capsys):
         with pytest.raises(SystemExit):

@@ -142,19 +142,26 @@ class TestCrossShardEdges:
         assert service.correlators(2) == []
 
     def test_echo_skips_vector_update(self):
-        """The echo path must not double-count the shared vector store:
-        versions after an alternating trace match a single Farmer's."""
+        """The echo path must not fold a record into the shared vector
+        store a second time: an alternating trace (every request a
+        boundary request) folds each record once, and the vectors
+        match a single Farmer's."""
         cfg = FarmerConfig(max_strength=0.0, n_shards=2)
         service = ShardedFarmer(cfg)
         plain = Farmer(FarmerConfig(max_strength=0.0))
-        for r in sequence_records([2, 3, 2, 3, 2], path="/a/b"):
+        store = service.vector_store
+        folded = []
+        fold = store.update
+        store.update = lambda record: (folded.append(record.fid), fold(record))
+        records = sequence_records([2, 3, 2, 3, 2], path="/a/b")
+        for r in records:
             service.observe(r)
             plain.observe(r)
+        service.snapshot()  # drains every pending echo
+        assert service.n_boundary_echoes == 4
+        assert folded == [r.fid for r in records]
         for fid in (2, 3):
-            assert service.vector_store.version_of(
-                fid
-            ) == plain.constructor.vector_version(fid)
-            assert service.vector_store.get(fid) == plain.constructor.vector_of(fid)
+            assert store.get(fid) == plain.constructor.vector_of(fid)
 
 
 class TestRoutingAndQueries:
