@@ -21,8 +21,8 @@ class FarmerConfig:
 
     The mining schedule itself is not a knob: ``observe`` marks the
     requested file's Correlator List dirty and the one-pass re-rank
-    runs on its first query, and a sharded service delivers boundary
-    echoes just in time. The paper-literal references (eager
+    runs on its first query, and a sharded service delivers each
+    boundary echo inside the call that produced it. The paper-literal references (eager
     per-request Algorithm 1, the entrywise re-rank) live in
     the test suite's oracle module and are compared against there.
 

@@ -2,8 +2,8 @@
 
 A snapshot is a *faithful* capture of the service's full mining state —
 graph nodes, Correlator Lists, dirty marks, rank records, sliding
-windows, echo queues, standby replicas, every counter — not a rank at
-the barrier. That distinction is the whole correctness story: the lazy
+windows, standby replicas, every counter — not a rank at the barrier.
+That distinction is the whole correctness story: the lazy
 re-evaluation schedule defers ranking to query time, so a snapshot that
 ranked lists "to clean them up" would freeze them at snapshot-time
 vector state and diverge from a never-crashed service once more records
@@ -156,6 +156,24 @@ def _load(path: Path, resolve: dict[str, object]):
                 f"it with the version that wrote it or discard the data "
                 f"directory"
             ) from exc
+
+
+def _check_service_fields(path: Path, state: dict) -> None:
+    """Refuse a service blob whose fields are not the ones this version's
+    :class:`ShardedFarmer` has (``state`` would otherwise be applied
+    as-is, stale fields and gaps included)."""
+    reference = ShardedFarmer(state.get("config"))
+    expected = set(vars(reference)) - set(_EXTERNAL_FIELDS)
+    extra = sorted(set(state) - expected)
+    missing = sorted(expected - set(state))
+    if extra or missing:
+        raise SnapshotMismatchError(
+            f"snapshot file {path} holds service fields this version does "
+            f"not have ({', '.join(extra) or 'none'}) and lacks fields it "
+            f"needs ({', '.join(missing) or 'none'}) — the snapshot was "
+            f"written by another version; restore it with that version or "
+            f"discard the data directory"
+        )
 
 
 def _fsync_dir(path: Path) -> None:
@@ -362,8 +380,10 @@ def load_snapshot(path: str | Path) -> ShardedFarmer:
 
     Raises:
         SnapshotMismatchError: when a blob names a class this version
-            does not have, or one whose pickled state no longer fits
-            (a snapshot written by another version of the program).
+            does not have, one whose pickled state no longer fits, or
+            when the service blob's field set differs from this
+            version's (a snapshot written by another version of the
+            program).
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -383,6 +403,7 @@ def load_snapshot(path: str | Path) -> ShardedFarmer:
     # the service blob's ``shards`` tuple holds persistent IDs, so the
     # update below re-links the very objects restored above
     state = _load(path / "service.pkl", resolve)
+    _check_service_fields(path / "service.pkl", state)
     service.__dict__.update(state)
     for token in _EXTERNAL_FIELDS:
         setattr(service, token, shared[token])

@@ -19,8 +19,8 @@ still arriving". Four pieces, one per module:
   (``fail_shard``, ``promote_standby``, ``rebalance``, ``drain``)
   concurrently with mining.
 * :mod:`repro.online.telemetry` — ring-buffer time series (queue depth,
-  per-shard load, echo-queue depth) and fixed-bucket latency histograms
-  (per-endpoint p50/p95/p99), all bounded-memory and numpy-free.
+  per-shard load) and fixed-bucket latency histograms (per-endpoint
+  p50/p95/p99), all bounded-memory and numpy-free.
 
 ``repro serve`` in the CLI wires the four together into a process.
 With ``--data-dir`` the service additionally journals accepted records

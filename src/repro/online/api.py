@@ -79,7 +79,7 @@ def _ingest_record(line: str, lineno: int) -> TraceRecord:
             continue
         try:
             value.encode()
-        except (AttributeError, UnicodeEncodeError):
+        except UnicodeEncodeError:
             raise TraceFormatError(
                 f"bad trace record: {name}={value!r} is not UTF-8 text", lineno
             ) from None

@@ -282,7 +282,7 @@ class OnlineStats:
 
     Attributes:
         service: the underlying :class:`ServiceStats` rollup (includes
-            per-destination echo-queue depths/drops and shed counts).
+            per-destination echo drops and shed counts).
         queue_depth: ingest-queue depth at the time of the call.
         pipeline: lifetime admission/consumption counters.
         endpoint_latency: per-endpoint latency summaries (p50/p95/p99
@@ -434,11 +434,8 @@ class OnlineService:
         if n_batches % self.load_sample_every == 0:
             with self._service_lock:
                 loads = self.service.shard_loads()
-                depths = self.service.echo_queue_depths
             for index, load in enumerate(loads):
                 self.telemetry.sample(f"shard_load.{index}", tick, load)
-            for index, depth in enumerate(depths):
-                self.telemetry.sample(f"echo_queue.{index}", tick, depth)
         return report
 
     def _consume_loop(self) -> None:
@@ -473,12 +470,11 @@ class OnlineService:
         """Write a durable snapshot at a full drain barrier.
 
         Rides the same serial-lock story as :meth:`drain`: everything
-        queued is consumed, pending boundary echoes are flushed, and the
-        snapshot captures the service at an exact accepted-stream
-        sequence — offers landing after the barrier go to the WAL tail
-        the snapshot's rotation starts. Ranking stays lazy (the snapshot
-        is a faithful state capture, not a rank), so a restore never
-        diverges from the lazy schedule.
+        queued is consumed, and the snapshot captures the service at an
+        exact accepted-stream sequence — offers landing after the
+        barrier go to the WAL tail the snapshot's rotation starts.
+        Ranking stays lazy (the snapshot is a faithful state capture,
+        not a rank), so a restore never diverges from the lazy schedule.
         """
         durability = self.durability
         if durability is None:
@@ -494,7 +490,6 @@ class OnlineService:
                     break
                 self._consume_batch(batch)
             with self._service_lock:
-                self.service.flush_echoes()
                 report = durability.checkpoint(
                     self.service, self.consumed_seq
                 )
@@ -504,8 +499,7 @@ class OnlineService:
         return report
 
     def drain(self) -> DrainReport:
-        """The full barrier: consume everything queued and deliver every
-        boundary echo.
+        """The full barrier: consume everything queued.
 
         After ``drain()`` every accepted record has been mined, and
         queries answer exactly as they would after a batch ``mine()`` of
@@ -517,8 +511,7 @@ class OnlineService:
         first query of each list pays its deferred rank instead. Safe
         with or without the consumer thread running: pop-and-consume is
         serialised, so an empty pop under the serial lock proves no
-        batch is in flight on the consumer thread when the final echo
-        flush runs.
+        batch is in flight on the consumer thread when it returns.
         """
         start = time.perf_counter()
         consumed = 0
@@ -527,8 +520,6 @@ class OnlineService:
             with self._ingest_serial:
                 batch = self.pipeline.pop_batch(timeout_s=None)
                 if not batch:
-                    with self._service_lock:
-                        self.service.flush_echoes()
                     break
                 self._consume_batch(batch)
             consumed += len(batch)
@@ -554,9 +545,9 @@ class OnlineService:
             )
 
     def predict(self, fid: int, k: int | None = None) -> list[int]:
-        """Prefetch candidates for ``fid`` (owner shard, echoes drained
-        first — the query reflects everything already *consumed*;
-        records still queued are not yet part of the answer)."""
+        """Prefetch candidates for ``fid`` from its owner shard (the
+        query reflects everything already *consumed*; records still
+        queued are not yet part of the answer)."""
         return self._timed("predict", self.service.predict, fid, k)
 
     def correlators(self, fid: int):

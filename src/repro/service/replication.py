@@ -251,12 +251,7 @@ class ShardReplicator:
         )
 
     def sync_all(self) -> StandbySyncReport:
-        """Run one service-wide sync barrier (healthy shards only).
-
-        The service drains each shard's pending boundary echoes before
-        its copy (the caller does this — a standby must reflect every
-        request already routed to its primary).
-        """
+        """Run one service-wide sync barrier (healthy shards only)."""
         service = self._service
         start = time.perf_counter()
         at = service.n_observed

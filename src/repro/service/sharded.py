@@ -26,8 +26,8 @@ objects with no locks: a ``ShardedFarmer`` is single-threaded, and the
 online plane (:class:`~repro.online.pipeline.OnlineService`) serialises
 every touch of it under one service lock.
 
-Cross-shard edges (``cross_shard_edges``) and just-in-time echoes
------------------------------------------------------------------
+Cross-shard edges (``cross_shard_edges``) and boundary echoes
+-------------------------------------------------------------
 
 Partitioning the stream would silently drop correlations that straddle a
 shard boundary. When the immediate predecessor of a request was routed
@@ -44,20 +44,11 @@ Set ``cross_shard_edges=False`` for strict partition isolation — each
 shard then sees exactly its routed substream, and the service is
 bit-for-bit a set of independent per-shard Farmers.
 
-Echoes are not delivered synchronously with the triggering request:
-they accumulate in per-destination-shard queues (one append on the hot
-path — in a deployment the destination runs on another core and a
-synchronous echo would be a cross-shard call per boundary request).
-A shard's queue drains *just in time*: immediately before its next
-owned observation, before any query routed to it, and at every
-service-wide barrier (batch ``mine``, rebalance, standby sync, an
-explicit :meth:`ShardedFarmer.flush_echoes`). Nothing can land on a
-shard between an echo's enqueue and that drain, so the destination's
-sliding window is identical to the synchronous schedule's and results
-are **bit-for-bit equivalent to synchronous delivery**
-(property-tested) — the queueing is free. The batch entry points
-(``mine``, ``ingest_stream``) place each echo inline in the
-destination's substream, which is the same order.
+``observe`` delivers a boundary echo at once, before it returns: the
+predecessor's shard runs the graph-only :meth:`Farmer.observe_echo`.
+The batch entry points (``mine``, ``ingest_stream``) place each echo
+inline in the destination's substream, which is the same order. An
+echo whose destination shard is failed is dropped and counted.
 
 Equivalence scope: with ``n_shards=1`` every entry point is bit-for-bit
 identical to a plain Farmer (property-tested on a 20k-record trace).
@@ -87,9 +78,9 @@ standby per primary shard (:mod:`repro.service.replication`), synced
 through the same state-shipping seam a rebalance migration uses, every
 ``standby_sync_interval`` accepted requests (and on demand via
 :meth:`sync_standbys`). :meth:`ShardedFarmer.fail_shard` simulates the
-loss of a shard's private mining state — its graph, lists and in-flight
-echoes are gone; the shared vocabulary/vector store/Function-1 counter
-are namespace-global and survive by construction. While failed,
+loss of a shard's private mining state — its graph and lists are gone;
+the shared vocabulary/vector store/Function-1 counter are
+namespace-global and survive by construction. While failed,
 requests and queries routed to that shard raise
 :class:`~repro.errors.ShardFailedError`; every other partition keeps
 serving. :meth:`ShardedFarmer.promote_standby` puts the standby in
@@ -116,7 +107,6 @@ any rebalance).
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -253,18 +243,14 @@ class ShardedFarmer:
         )
         self._prev_owner: int | None = None
         self._prev_fid: int | None = None
-        self._echo_queues: list[deque[TraceRecord]] = [deque() for _ in range(n)]
         self._n_observed = 0
         self._n_boundary_echoes = 0
-        self._n_echo_flushes = 0
         self._n_rebalances = 0
         self._n_migrated_fids = 0
         # shard indexes whose private state is lost, awaiting promotion
         self._failed: set[int] = set()
         self._n_echoes_dropped = 0
-        # per-destination echo accounting: the online backpressure
-        # policy reads these live (a hot destination shows up as a deep
-        # queue; a failed one as a growing drop count)
+        # echoes lost to each failed destination
         self._echo_drops_by_dest: list[int] = [0] * n
         self._n_echoes_shed = 0
         # load-attribution marks: raw load signals at the last rebalance
@@ -286,65 +272,28 @@ class ShardedFarmer:
         return self.router.route(fid)
 
     def shard_for(self, fid: int) -> Farmer:
-        """Owning shard of ``fid``, with its pending boundary echoes
-        drained first (queries go to the owner only, and a query must
-        reflect every request already routed to that owner). Raises
-        :class:`ShardFailedError` while the owner is failed."""
+        """Owning shard of ``fid``. Raises :class:`ShardFailedError`
+        while the owner is failed."""
         owner = self.router.route(fid)
         if owner in self._failed:
             raise ShardFailedError(owner)
-        self._drain_shard(owner)
         return self.shards[owner]
 
     # ------------------------------------------------------------------
-    # boundary-echo queues
+    # boundary echoes
     # ------------------------------------------------------------------
 
-    def _drain_shard(self, index: int) -> None:
-        """Deliver shard ``index``'s queued boundary echoes (FIFO).
-
-        A failed shard is skipped (its queue is cleared at failure time
-        and enqueues to it are dropped, so this is defensive).
-        """
-        queue = self._echo_queues[index]
-        if not queue or index in self._failed:
-            return
-        observe_echo = self.shards[index].observe_echo
-        while queue:
-            observe_echo(queue.popleft())
-        self._n_echo_flushes += 1
-
     def flush_echoes(self) -> None:
-        """Drain every shard's boundary-echo queue (FIFO per shard).
-
-        Called automatically at the batch-``mine`` ingest barrier, at
-        the start of a rebalance or standby sync, by ``stats()``, and
-        by ``ingest_stream`` when it finds echoes queued; public so a deployment can force delivery at its own sync
-        points. Bit-neutral: a queue drained early lands on a shard
-        nothing touched since the enqueue.
-        """
-        for index in range(len(self.shards)):
-            self._drain_shard(index)
-
-    @property
-    def n_pending_echoes(self) -> int:
-        """Boundary echoes currently queued and not yet delivered."""
-        return sum(len(q) for q in self._echo_queues)
-
-    @property
-    def echo_queue_depths(self) -> tuple[int, ...]:
-        """Per-destination-shard depth of the boundary-echo queues,
-        read live (the admission-control input: a destination that
-        stopped draining shows up here before anything overflows)."""
-        return tuple(len(q) for q in self._echo_queues)
+        """Does nothing: every boundary echo is delivered inside the
+        call that produced it, so none is ever pending. Kept so callers
+        (and the perfbench trace point on this name) keep working."""
 
     @property
     def echo_drop_counts(self) -> tuple[int, ...]:
-        """Per-destination-shard count of boundary echoes lost to that
-        shard's failure — in-flight at ``fail_shard`` time or enqueued
-        while the destination was down. Sums to
-        :attr:`n_echoes_dropped` over the shard lifetime (a shrink
-        rebalance truncates the per-shard view with the shards)."""
+        """Per-destination-shard count of boundary echoes lost because
+        the destination was failed. Sums to :attr:`n_echoes_dropped`
+        over the shard lifetime (a shrink rebalance truncates the
+        per-shard view with the shards)."""
         return tuple(self._echo_drops_by_dest)
 
     @property
@@ -354,29 +303,15 @@ class ShardedFarmer:
         that turned out to be boundary requests."""
         return self._n_echoes_shed
 
-    def _enqueue_echo(self, prev: int, record: TraceRecord) -> None:
-        """Queue a boundary echo for the predecessor's shard.
-
-        An echo destined for a *failed* shard is dropped and counted
-        (at-most-once delivery: the destination that would absorb it no
-        longer exists).
-        """
-        self._n_boundary_echoes += 1
-        if prev in self._failed:
-            self._n_echoes_dropped += 1
-            self._echo_drops_by_dest[prev] += 1
-            return
-        self._echo_queues[prev].append(record)
-
     # ------------------------------------------------------------------
     # mining
     # ------------------------------------------------------------------
 
     def observe(self, record: TraceRecord) -> None:
         """Route one request to its owner shard; a boundary request
-        under ``cross_shard_edges`` is additionally queued as an echo
-        for the predecessor's shard (see the module docstring for the
-        drain schedule)."""
+        under ``cross_shard_edges`` is additionally observed by the
+        predecessor's shard as an echo (dropped and counted if that
+        shard is failed)."""
         if (
             self.config.op_filter is not None
             and record.op not in self.config.op_filter
@@ -385,16 +320,17 @@ class ShardedFarmer:
         owner = self.router.route(record.fid)
         if owner in self._failed:
             raise ShardFailedError(owner)
-        # just-in-time drain: queued echoes land before the next owned
-        # observation, preserving the synchronous window geometry
-        # bit-for-bit
-        self._drain_shard(owner)
         self.shards[owner].observe(record)
         prev = self._prev_owner
         if self.config.cross_shard_edges and prev is not None and prev != owner:
-            # the owner just folded the record into the shared vector
-            # store, so the echo pays only graph/list work on prev
-            self._enqueue_echo(prev, record)
+            self._n_boundary_echoes += 1
+            if prev in self._failed:
+                self._n_echoes_dropped += 1
+                self._echo_drops_by_dest[prev] += 1
+            else:
+                # the owner just folded the record into the shared
+                # vector store, so the echo pays only graph/list work
+                self.shards[prev].observe_echo(record)
         self._prev_owner = owner
         self._prev_fid = record.fid
         self._n_observed += 1
@@ -416,17 +352,13 @@ class ShardedFarmer:
 
         Shard *i*'s substream holds ``(record, is_echo)`` pairs: the
         records it owns plus, under ``cross_shard_edges``, the boundary
-        requests echoed to it. Echoes still queued from a preceding
-        ``observe`` stream are delivered first; this batch's echoes sit
-        inline in the destination's substream (the just-in-time order —
-        bit-identical to synchronous delivery), so the flush never ranks
-        a list that is missing an enqueued echo. Unavailable while any
-        shard is failed (the batch would silently drop that partition's
-        records) — promote the standby first.
+        requests echoed to it, inline in the order ``observe`` would
+        deliver them. Unavailable while any shard is failed (the batch
+        would silently drop that partition's records) — promote the
+        standby first.
         """
         if self._failed:
             raise ShardFailedError(min(self._failed))
-        self.flush_echoes()
         config = self.config
         n = config.n_shards
         subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
@@ -486,9 +418,9 @@ class ShardedFarmer:
           loud contract, a long-running service wants to keep serving.)
 
         Echo placement is **batch-seam-independent**: echoes sit inline
-        in the destination's substream (the just-in-time order), so any
-        chunking of the stream is bit-identical to one batch
-        :meth:`mine` of the same records. Lists are a pure function of
+        in the destination's substream (the order ``observe`` delivers
+        them in), so any chunking of the stream is bit-identical to one
+        batch :meth:`mine` of the same records. Lists are a pure function of
         the end-of-stream graph/vector state (property-tested in
         ``tests/online``). Standby sync barriers keep their
         accepted-request cadence across batches.
@@ -497,13 +429,6 @@ class ShardedFarmer:
         subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
         sync_every = self.config.standby_sync_interval
         replicator = self._replicator
-        if any(self._echo_queues):
-            # leftovers queued by interleaved observe() calls are
-            # delivered first so the batch starts from drained FIFO
-            # state (position-safe: nothing lands on a destination in
-            # between, so its window is the same now as at the next
-            # just-in-time drain)
-            self.flush_echoes()
         op_filter = self.config.op_filter
         cross = self.config.cross_shard_edges
         route = self.router.route
@@ -609,13 +534,10 @@ class ShardedFarmer:
     # ------------------------------------------------------------------
 
     def flush_shard(self, index: int) -> None:
-        """Re-rank shard ``index``'s *owned* dirty lists (pending
-        boundary echoes are delivered first so nothing enqueued is
-        missing from the ranked state). Halo lists (foreign fids left
-        dirty by boundary echoes) stay lazy — queries route to the
-        owner shard, so ranking them is work nobody reads.
+        """Re-rank shard ``index``'s *owned* dirty lists. Halo lists
+        (foreign fids left dirty by boundary echoes) stay lazy — queries
+        route to the owner shard, so ranking them is work nobody reads.
         """
-        self._drain_shard(index)
         shard = self.shards[index]
         route = self.router.route
         shard.miner.flush_nodes(
@@ -658,9 +580,7 @@ class ShardedFarmer:
         return self.sim_cache.stats().evaluations
 
     def memory_bytes(self) -> int:
-        """Total footprint; shared components are counted exactly once.
-        Queued-but-undelivered echoes are transport, not mining state,
-        and are not counted (the records are owned by the trace)."""
+        """Total footprint; shared components are counted exactly once."""
         total = self.vocabulary.approx_bytes() + self.vector_store.approx_bytes()
         # shards skip the injected (non-owned) components themselves
         total += sum(shard.memory_bytes() for shard in self.shards)
@@ -678,24 +598,11 @@ class ShardedFarmer:
     @property
     def n_boundary_echoes(self) -> int:
         """Boundary requests echoed to the predecessor's shard
-        (enqueued; see :attr:`n_pending_echoes` for undelivered ones)."""
+        (including those dropped for a failed destination)."""
         return self._n_boundary_echoes
 
-    @property
-    def n_echo_flushes(self) -> int:
-        """Echo-queue drain operations performed so far (each drain
-        delivers a whole per-shard queue — the batching win is echoes
-        per drain, not fewer echoes)."""
-        return self._n_echo_flushes
-
     def stats(self) -> ServiceStats:
-        """Aggregated per-shard stats, Function-1 count and memory
-        (pending echoes are delivered first so every counter reflects
-        the full routed stream; ``echo_queue_depths`` is captured
-        *before* that drain — it reports the queues as the caller found
-        them, not the zeros the drain leaves behind)."""
-        depths = self.echo_queue_depths
-        self.flush_echoes()
+        """Aggregated per-shard stats, Function-1 count and memory."""
         replicator = self._replicator
         return ServiceStats(
             n_shards=self.config.n_shards,
@@ -704,13 +611,11 @@ class ShardedFarmer:
             shards=tuple(shard.stats() for shard in self.shards),
             f1_evaluations=self.f1_evaluations(),
             memory_bytes=self.memory_bytes(),
-            n_echo_flushes=self._n_echo_flushes,
             n_rebalances=self._n_rebalances,
             n_migrated_fids=self._n_migrated_fids,
             n_echoes_dropped=self._n_echoes_dropped,
             n_failovers=self._n_failovers,
             n_standby_syncs=replicator.n_barriers if replicator else 0,
-            echo_queue_depths=depths,
             echo_drops_by_shard=tuple(self._echo_drops_by_dest),
             n_echoes_shed=self._n_echoes_shed,
         )
@@ -747,9 +652,9 @@ class ShardedFarmer:
             A :class:`RebalanceReport` (how much of the namespace
             moved, and how long migration took).
 
-        Migration semantics: pending echoes are delivered first; every
-        fid whose owner changed has its graph node and freshly-ranked
-        Correlator List shipped from the old owner to the new one
+        Migration semantics: every fid whose owner changed has its graph
+        node and freshly-ranked Correlator List shipped from the old
+        owner to the new one
         (`CoMiner.flush_nodes_report` ranks, ``extract_state`` /
         ``adopt_migrated`` move), so no re-mining happens and
         post-rebalance queries serve exactly the lists the old owners
@@ -811,9 +716,6 @@ class ShardedFarmer:
                 seed=self.config.router_seed,
                 weights=weights,
             )
-        # deliver everything queued under the old topology first: an
-        # echo re-routed after the switch would land on the wrong shard
-        self.flush_echoes()
         if new_n > old_n:
             shards = list(self.shards)
             shards.extend(
@@ -826,7 +728,6 @@ class ShardedFarmer:
                 for _ in range(new_n - old_n)
             )
             self.shards = tuple(shards)
-            self._echo_queues.extend(deque() for _ in range(new_n - old_n))
             self._echo_drops_by_dest.extend(0 for _ in range(new_n - old_n))
         old_route = self.router.route
         n_owned = 0
@@ -863,7 +764,6 @@ class ShardedFarmer:
             n_migrated += len(moved)
         if new_n < old_n:
             self.shards = self.shards[:new_n]
-            del self._echo_queues[new_n:]
             del self._echo_drops_by_dest[new_n:]
         self.router = router
         self.config = self.config.with_(n_shards=new_n, shard_policy=new_policy)
@@ -1024,13 +924,10 @@ class ShardedFarmer:
 
         Runs automatically every ``standby_sync_interval`` accepted
         requests; public so a deployment can align barriers with its
-        own checkpoints. Pending boundary echoes are delivered first —
-        a standby must reflect every request already routed to its
-        primary — then each primary's tick-changed nodes and
+        own checkpoints. Each primary's tick-changed nodes and
         freshly-ranked lists are copied to its standby.
         """
         replicator = self._require_replication()
-        self.flush_echoes()
         report = replicator.sync_all()
         self._since_standby_sync = 0
         self._last_standby_sync = report.at_observed
@@ -1040,10 +937,8 @@ class ShardedFarmer:
         """Simulate the loss of shard ``index``'s private mining state.
 
         The shard's graph, Correlator Lists and re-rank bookkeeping are
-        discarded, and its queued (in-flight) boundary echoes are
-        dropped — at-most-once delivery, exactly what a crashed
-        destination costs. The shared vocabulary, vector store and
-        Function-1 counter are namespace-global and unaffected. Until
+        discarded. The shared vocabulary, vector store and Function-1
+        counter are namespace-global and unaffected. Until
         :meth:`promote_standby` runs, requests and queries routed to
         this shard raise :class:`ShardFailedError` while every other
         partition keeps serving; aggregate accounting (``snapshot`` /
@@ -1054,11 +949,6 @@ class ShardedFarmer:
             raise ConfigError(f"no shard {index} in a {len(self.shards)}-shard service")
         if index in self._failed:
             raise ReplicationError(f"shard {index} is already failed")
-        # in-flight echoes die with the destination
-        dropped = len(self._echo_queues[index])
-        self._echo_queues[index].clear()
-        self._n_echoes_dropped += dropped
-        self._echo_drops_by_dest[index] += dropped
         shards = list(self.shards)
         # an empty placeholder keeps aggregate walks (stats/snapshot)
         # total; the _failed guard keeps routed traffic out of it
@@ -1134,6 +1024,6 @@ class ShardedFarmer:
 
     @property
     def n_echoes_dropped(self) -> int:
-        """Boundary echoes lost to failed destinations (in-flight at
-        failure time, or enqueued while the destination was down)."""
+        """Boundary echoes lost because their destination shard was
+        failed (at-most-once delivery)."""
         return self._n_echoes_dropped

@@ -64,23 +64,14 @@ class ServiceStats:
             standby (one shared counter).
         memory_bytes: total footprint with shared components (vocabulary,
             vector store) counted exactly once.
-        n_echo_flushes: echo-queue drain operations performed (each
-            drain delivers one shard's whole queue; the batching win is
-            echoes amortized per drain, not fewer echoes).
         n_rebalances: topology changes applied via ``rebalance()``.
         n_migrated_fids: fids whose graph node + ranked list were
             shipped between shards across all rebalances.
-        n_echoes_dropped: boundary echoes lost to failed destinations
-            (in-flight at failure time or enqueued while down).
+        n_echoes_dropped: boundary echoes lost because their
+            destination shard was failed.
         n_failovers: standby promotions performed.
         n_standby_syncs: standby sync barriers run (0 with replication
             disabled).
-        echo_queue_depths: per-destination-shard boundary-echo queue
-            depth **as the stats() caller found it** (the rollup drains
-            the queues, so this is captured before the drain). This is
-            the online backpressure policy's admission input: a
-            destination that stopped draining shows up here before
-            anything overflows.
         echo_drops_by_shard: per-destination-shard count of boundary
             echoes lost to that shard's failure; sums to
             ``n_echoes_dropped`` over the shard lifetime.
@@ -98,13 +89,11 @@ class ServiceStats:
     shards: tuple[FarmerStats, ...]
     f1_evaluations: int
     memory_bytes: int
-    n_echo_flushes: int = 0
     n_rebalances: int = 0
     n_migrated_fids: int = 0
     n_echoes_dropped: int = 0
     n_failovers: int = 0
     n_standby_syncs: int = 0
-    echo_queue_depths: tuple[int, ...] = ()
     echo_drops_by_shard: tuple[int, ...] = ()
     n_echoes_shed: int = 0
 

@@ -2,8 +2,11 @@
 
 The synthetic generators produce records in memory, but a real deployment
 mines multi-gigabyte trace files, so the library ships streaming parsers.
-Both formats round-trip exactly (including ``path=None``); the readers are
-generators so arbitrarily large traces can be mined without loading them.
+JSON lines round-trip every record exactly, ``path=None`` and ``path=""``
+included. CSV spells ``path=None`` as an empty field, so it has no
+spelling for ``path=""``: the CSV writers refuse such a record, and every
+record they accept round-trips exactly. The readers are generators so
+arbitrarily large traces can be mined without loading them.
 """
 
 from __future__ import annotations
@@ -52,9 +55,15 @@ def record_from_dict(data: dict, line: int | None = None) -> TraceRecord:
     """Parse a dict (e.g. one JSONL object) into a record.
 
     Raises:
-        TraceFormatError: on missing keys, un-coercible values or an
-            integer field outside int64.
+        TraceFormatError: on missing keys, un-coercible values, an
+            integer field outside int64 or a ``path`` that is neither
+            text nor null.
     """
+    path = data.get("path")
+    if path is not None and not isinstance(path, str):
+        raise TraceFormatError(
+            f"bad trace record: path={path!r} is not text", line
+        )
     try:
         record = TraceRecord(
             ts=int(data["ts"]),
@@ -62,7 +71,7 @@ def record_from_dict(data: dict, line: int | None = None) -> TraceRecord:
             uid=int(data["uid"]),
             pid=int(data["pid"]),
             host=int(data["host"]),
-            path=data.get("path") or None,
+            path=path,
             op=str(data.get("op", "open")),
             size=int(data.get("size", 0)),
             dev=int(data.get("dev", 0)),
@@ -90,16 +99,32 @@ def int64_overflow(record: TraceRecord) -> str | None:
     return None
 
 
+def _csv_row(r: TraceRecord, line: int) -> tuple:
+    """One record as a CSV row (``line`` is its line in the file)."""
+    if r.path == "":
+        raise TraceFormatError(
+            "path='' has no CSV spelling apart from no path; write the "
+            "trace as JSON lines instead",
+            line,
+        )
+    return (
+        r.ts, r.fid, r.uid, r.pid, r.host, r.path or "", r.op, r.size, r.dev
+    )
+
+
 def write_csv(records: Iterable[TraceRecord], path: str | Path) -> int:
-    """Write records as CSV with a header row; returns the record count."""
+    """Write records as CSV with a header row; returns the record count.
+
+    Raises:
+        TraceFormatError: on a record with ``path=""``, naming its line
+            (the rows before it are already written).
+    """
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                (r.ts, r.fid, r.uid, r.pid, r.host, r.path or "", r.op, r.size, r.dev)
-            )
+            writer.writerow(_csv_row(r, count + 2))
             count += 1
     return count
 
@@ -167,12 +192,11 @@ def read_jsonl(path: str | Path) -> Iterator[TraceRecord]:
 
 
 def dumps_csv(records: Iterable[TraceRecord]) -> str:
-    """In-memory CSV serialisation (testing / small traces)."""
+    """In-memory CSV serialisation (testing / small traces); refuses
+    ``path=""`` as :func:`write_csv` does."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            (r.ts, r.fid, r.uid, r.pid, r.host, r.path or "", r.op, r.size, r.dev)
-        )
+    for line, r in enumerate(records, start=2):
+        writer.writerow(_csv_row(r, line))
     return buf.getvalue()

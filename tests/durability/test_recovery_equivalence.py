@@ -9,9 +9,7 @@ and journaled, never consumed) — then recovers from the data directory
 alone. Crash points, checkpoint barriers and partial drains are
 randomized per (router, replication) cell; torn WAL tails get their own
 case. The reference is a fresh ``ShardedFarmer`` fed the durable prefix
-through the ordinary ingest seam, flushing echoes at the same barriers
-the durable run checkpointed at (bit-neutral: echoes drain just in
-time).
+through the ordinary ingest seam in one call.
 """
 
 import random
@@ -63,17 +61,11 @@ def recover(data_dir, cfg):
     return online, report
 
 
-def reference_at(cfg, records, durable_seq, barriers=()):
+def reference_at(cfg, records, durable_seq):
     """A never-crashed service at the durable barrier: the accepted
-    prefix through the same ingest seam, echoes flushed at the same
-    checkpoint barriers the durable run hit."""
+    prefix through the same ingest seam."""
     ref = ShardedFarmer(cfg)
-    prev = 0
-    for barrier in sorted(barriers):
-        ref.ingest_stream((r, True) for r in records[prev:barrier])
-        ref.flush_echoes()
-        prev = barrier
-    ref.ingest_stream((r, True) for r in records[prev:durable_seq])
+    ref.ingest_stream((r, True) for r in records[:durable_seq])
     return ref
 
 
@@ -105,7 +97,7 @@ def test_recovered_equals_never_crashed(tmp_path, router, replication):
         online, report = recover(data_dir, cfg)
         assert report.durable_seq == crash_at
         assert online.consumed_seq == crash_at
-        reference = reference_at(cfg, records, crash_at, barriers)
+        reference = reference_at(cfg, records, crash_at)
         assert_bit_identical(online, reference, records[:crash_at])
 
 
@@ -123,7 +115,7 @@ def test_post_restore_failover_still_works(tmp_path):
     )
     run_and_crash(tmp_path, cfg, records, 4_200, [1_800])
     online, _ = recover(tmp_path, cfg)
-    reference = reference_at(cfg, records, 4_200, [1_800])
+    reference = reference_at(cfg, records, 4_200)
     online.service.sync_standbys()
     reference.sync_standbys()
     online.fail_shard(2)
@@ -150,7 +142,7 @@ def test_torn_wal_tail_recovers_to_last_complete_record(tmp_path):
         stats.durability.recovery.wal_discarded_bytes
         == report.wal_discarded_bytes
     )
-    reference = reference_at(cfg, records, 2_999, [1_200])
+    reference = reference_at(cfg, records, 2_999)
     assert_bit_identical(online, reference, records[:2_999])
 
 
@@ -167,7 +159,7 @@ def test_crash_mid_snapshot_falls_back_to_sealed_barrier(tmp_path):
     online, report = recover(tmp_path, cfg)
     assert report.snapshot_seq == 1_000
     assert report.durable_seq == 3_400
-    reference = reference_at(cfg, records, 3_400, [1_000])
+    reference = reference_at(cfg, records, 3_400)
     assert_bit_identical(online, reference, records[:3_400])
 
 
@@ -185,7 +177,7 @@ def test_corrupt_newest_snapshot_falls_back_and_replays_more(tmp_path):
     online, report = recover(tmp_path, cfg)
     assert report.snapshot_seq == 1_000
     assert report.wal_replayed == 2_600
-    reference = reference_at(cfg, records, 3_600, [1_000, 2_500])
+    reference = reference_at(cfg, records, 3_600)
     assert_bit_identical(online, reference, records[:3_600])
 
 
@@ -212,7 +204,7 @@ def test_empty_path_recovers_as_empty_path(tmp_path):
     assert report.durable_seq == 1_500
     manager = online.durability
     assert [r for _, r, _ in manager.wal.replay(600)] == records[600:1_500]
-    reference = reference_at(cfg, records, 1_500, [600])
+    reference = reference_at(cfg, records, 1_500)
     assert_bit_identical(online, reference, records[:1_500])
 
 

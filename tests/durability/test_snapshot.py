@@ -1,9 +1,11 @@
 """Snapshot faithfulness: a restore is the captured service, bit for
 bit — shared-store identity, lazy-rank schedule, standbys and all."""
 
+import io
 import json
 import pickle
 import zlib
+from collections import deque
 
 import pytest
 
@@ -266,3 +268,76 @@ class TestConfigMismatch:
         assert needle in message
         assert booting.recovery is None
         assert booting.base_consumed == 0
+
+    @pytest.mark.parametrize(
+        "legacy, needle",
+        [
+            ("queue_fields", "not have (_echo_queues, _n_echo_flushes)"),
+            ("missing_field", "lacks fields it needs (_n_echoes_shed)"),
+        ],
+    )
+    def test_service_blob_with_another_field_set_is_refused(
+        self, tmp_path, records, legacy, needle
+    ):
+        """A ``service.pkl`` written while the service kept boundary-echo
+        queues carries ``_echo_queues`` and ``_n_echo_flushes``; one from
+        a version without some current field lacks it. Recovery refuses
+        either, naming the file and the fields, instead of restoring a
+        service with stale attributes or gaps."""
+        manager = DurabilityManager(tmp_path)
+        service = ShardedFarmer(CFG)
+        for record in records[:1_000]:
+            manager.log_accepted(record, True)
+        service.ingest_stream((r, True) for r in records[:1_000])
+        manager.checkpoint(service, 1_000)
+        manager.close()
+        newest = latest_snapshot(manager.snapshot_dir)
+        service_path = newest / "service.pkl"
+        state = _repickle_tokens(service_path.read_bytes(), legacy)
+        service_path.write_bytes(state)
+        manifest_path = newest / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["service.pkl"] = {
+            "bytes": len(state),
+            "crc32": zlib.crc32(state),
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        assert latest_snapshot(manager.snapshot_dir) == newest
+        booting = DurabilityManager(tmp_path)
+        with pytest.raises(SnapshotMismatchError) as excinfo:
+            booting.recover(CFG)
+        booting.close()
+        message = str(excinfo.value)
+        assert str(service_path) in message
+        assert needle in message
+        assert booting.recovery is None
+
+
+class _Token:
+    """A persistent ID carried through a re-pickle untouched."""
+
+    def __init__(self, pid):
+        self.pid = pid
+
+
+class _KeepTokens(pickle.Unpickler):
+    def persistent_load(self, pid):
+        return _Token(pid)
+
+
+class _EmitTokens(pickle.Pickler):
+    def persistent_id(self, obj):
+        return obj.pid if isinstance(obj, _Token) else None
+
+
+def _repickle_tokens(data: bytes, legacy: str) -> bytes:
+    """Edit a service blob's field set, keeping its persistent IDs."""
+    state = _KeepTokens(io.BytesIO(data)).load()
+    if legacy == "queue_fields":
+        state["_echo_queues"] = [deque() for _ in state["shards"]]
+        state["_n_echo_flushes"] = 0
+    else:
+        del state["_n_echoes_shed"]
+    out = io.BytesIO()
+    _EmitTokens(out, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    return out.getvalue()

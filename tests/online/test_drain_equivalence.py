@@ -90,7 +90,6 @@ class TestIngestStreamEquivalence:
             streamed.ingest_stream(
                 (r, True) for r in records[start : start + chunk]
             )
-        streamed.flush_echoes()
         for index in range(len(streamed.shards)):
             streamed.flush_shard(index)
         return streamed
@@ -114,7 +113,6 @@ class TestIngestStreamEquivalence:
         reference = ShardedFarmer(cfg)
         for record in records:
             reference.observe(record)
-        reference.flush_echoes()
         assert streamed.n_boundary_echoes == reference.n_boundary_echoes
         self.assert_same_answers(streamed, reference, records)
 

@@ -2,8 +2,7 @@
 
 Covers the two online twists over plain ``observe``: per-record echo
 control (``allow_echo=False`` sheds the boundary echo and counts it)
-and drop-and-count for failed-shard partitions, plus the per-destination
-echo accounting surfaced through ``ServiceStats``.
+and drop-and-count for failed-shard partitions.
 """
 
 import pytest
@@ -127,28 +126,3 @@ class TestFailedShardDegradation:
         with pytest.raises(ShardFailedError):
             service.observe(sequence_records([3])[0])
 
-
-class TestPerDestinationQueueDepths:
-    """The queue depths report the echoes still waiting for their
-    destination: after an ``observe`` loop, the last boundary request's
-    echo (its destination has not been touched since)."""
-
-    def make_queued(self):
-        cfg = FarmerConfig(n_shards=2, max_strength=0.0, weight_p=0.0)
-        service = ShardedFarmer(cfg)
-        for r in boundary_trace(8):
-            service.observe(r)
-        return service
-
-    def test_depths_track_batched_echo_queues(self):
-        service = self.make_queued()
-        # the last record (fid 3) owns shard 1 and echoed to shard 0
-        assert service.echo_queue_depths == (1, 0)
-        service.flush_echoes()
-        assert service.echo_queue_depths == (0, 0)
-
-    def test_stats_capture_depths_before_the_rollup_drain(self):
-        service = self.make_queued()
-        stats = service.stats()
-        assert stats.echo_queue_depths == (1, 0)  # as the caller found it
-        assert service.echo_queue_depths == (0, 0)  # the rollup drained

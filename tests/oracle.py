@@ -3,7 +3,8 @@
 The library runs one schedule: ``Farmer.observe`` marks the requested
 file's Correlator List dirty, the one-pass re-rank
 (``CoMiner.reevaluate``) runs on its first query, and a sharded service
-delivers boundary echoes just in time. The paper-literal alternatives
+delivers each boundary echo inside the call that produced it. The
+paper-literal alternatives
 live here, outside the hot code, as oracles:
 
 * :func:`entrywise_kernel` — the entry-by-entry re-rank

@@ -100,8 +100,8 @@ class TestServiceCli:
         ids=["service-echo-interval", "service-idle-drain", "serve-echo-interval"],
     )
     def test_removed_echo_schedule_flags_are_rejected(self, argv, capsys):
-        """Echoes drain just in time; there is no batched or idle drain
-        schedule to select."""
+        """Echoes are delivered synchronously; there is no batched or
+        idle drain schedule to select."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -241,11 +241,9 @@ class TestBoundaryStateAfterRebalance:
         echoes_before = service.n_boundary_echoes
         service.observe(sequence_records([4])[0])  # owner 4: boundary
         assert service.n_boundary_echoes == echoes_before + 1
-        assert len(service._echo_queues[3]) == 1
         # delivery lands on the new shard (its window is empty post-
         # rebalance, so the echo creates the node without the 9 -> 4
         # edge — the documented approximate post-rebalance geometry)
-        service.flush_echoes()
         assert 4 in service.shards[3].constructor.graph.nodes()
 
     def test_rebalance_before_any_stream_keeps_boundary_unset(self):

@@ -157,11 +157,33 @@ class TestCrossShardEdges:
         for r in records:
             service.observe(r)
             plain.observe(r)
-        service.snapshot()  # drains every pending echo
         assert service.n_boundary_echoes == 4
         assert folded == [r.fid for r in records]
         for fid in (2, 3):
             assert store.get(fid) == plain.constructor.vector_of(fid)
+
+    def test_echo_lands_before_observe_returns(self):
+        """The echo is delivered inside ``observe(b)``: before any
+        query, the predecessor's shard already holds the ``a → b`` edge
+        and counts the echo, and ``stats()`` is a pure read."""
+        cfg = FarmerConfig(max_strength=0.0, n_shards=2, weight_p=0.0)
+        service = ShardedFarmer(cfg)
+        a, b = sequence_records([2, 3])  # owners 0 and 1
+        service.observe(a)
+        service.observe(b)
+        pred_shard = service.shards[0]
+        assert 3 in pred_shard.constructor.graph.successors(2)
+        assert pred_shard.n_observed == 2  # a itself, plus b's echo
+        assert service.shards[1].n_observed == 1
+        assert service.n_boundary_echoes == 1
+        assert service.stats() == service.stats()
+
+    def test_boundary_pair_has_positive_degree(self):
+        cfg = FarmerConfig(max_strength=0.0, n_shards=2, weight_p=0.0)
+        service = ShardedFarmer(cfg)
+        for r in sequence_records([2, 3] * 5):
+            service.observe(r)
+        assert service.correlation_degree(2, 3) > 0.0
 
 
 class TestRoutingAndQueries:
@@ -214,6 +236,27 @@ class TestMineBatch:
             assert batched.correlators(record.fid) == looped.correlators(record.fid)
         assert batched.n_observed == looped.n_observed == len(trace)
         assert batched.n_boundary_echoes == looped.n_boundary_echoes
+
+    def test_chunked_mine_places_one_shot_echoes(self):
+        """Mining a trace in uneven chunks places exactly the echoes
+        of one whole-trace ``mine``: boundary state carries across the
+        call seams."""
+        trace = generate_trace("hp", 3_000, seed=9)
+        cfg = FarmerConfig(max_strength=0.3, n_shards=4)
+        chunked = ShardedFarmer(cfg)
+        for start in range(0, len(trace), 700):  # uneven chunk boundary
+            chunked.mine(trace[start : start + 700])
+        whole = ShardedFarmer(cfg).mine(trace)
+        assert chunked.n_observed == whole.n_observed == len(trace)
+        assert chunked.n_boundary_echoes == whole.n_boundary_echoes
+
+    def test_stats_reports_echo_counters(self):
+        service = ShardedFarmer(FarmerConfig(n_shards=4))
+        service.mine(generate_trace("hp", 1_000, seed=2))
+        stats = service.stats()
+        assert stats.n_boundary_echoes == service.n_boundary_echoes > 0
+        assert service.echo_drop_counts == (0, 0, 0, 0)
+        assert stats.n_echoes_dropped == 0
 
     def test_mine_returns_self(self):
         service = ShardedFarmer(FarmerConfig(n_shards=2))

@@ -62,6 +62,16 @@ class TestCsvRoundtrip:
         with pytest.raises(TraceFormatError):
             list(read_csv(path))
 
+    def test_empty_path_refused_naming_the_line(self, tmp_path, sample_records):
+        """CSV spells ``path=None`` as an empty field, so it cannot keep
+        ``path=""`` apart; both writers refuse it rather than let it
+        read back as ``None``."""
+        records = sample_records + [make_record(4, path="")]
+        with pytest.raises(TraceFormatError, match="line 5: path=''"):
+            write_csv(records, tmp_path / "t.csv")
+        with pytest.raises(TraceFormatError, match="line 5: path=''"):
+            dumps_csv(records)
+
     def test_dumps_matches_write(self, tmp_path, sample_records):
         path = tmp_path / "t.csv"
         write_csv(sample_records, path)
@@ -108,6 +118,29 @@ class TestJsonlRoundtrip:
     def test_dict_roundtrip(self):
         r = make_record(5, ts=1, path="/p")
         assert record_from_dict(record_to_dict(r)) == r
+
+    def test_empty_path_kept_apart_from_none(self, tmp_path):
+        records = [make_record(1, path=""), make_record(2, path=None)]
+        path = tmp_path / "t.jsonl"
+        write_jsonl(records, path)
+        back = list(read_jsonl(path))
+        assert back == records
+        assert back[0].path == "" and back[1].path is None
+
+    @pytest.mark.parametrize("value", [5, ["/a"], {"p": 1}, True])
+    def test_non_text_path_refused(self, value):
+        data = {**record_to_dict(make_record(1)), "path": value}
+        with pytest.raises(TraceFormatError, match="line 7: .*path"):
+            record_from_dict(data, 7)
+
+    def test_non_text_path_names_its_file_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_jsonl([make_record(1)], path)
+        with open(path, "a") as fh:
+            fh.write('{"ts":1,"fid":2,"uid":1,"pid":1,"host":1,"path":5}\n')
+        with pytest.raises(TraceFormatError) as exc:
+            list(read_jsonl(path))
+        assert exc.value.line == 2
 
 
 class TestLargeRoundtrip:
