@@ -13,7 +13,9 @@ live here, outside the hot code, as oracles:
   ``CoMiner.defer_edge`` logs and replays;
 * :func:`eager_observe` — Algorithm 1 on every request;
 * :func:`scan_eviction` — the full-scan weakest-edge eviction that
-  ``NodeState.evict_weakest`` bounds with its per-node lower bound.
+  ``NodeState.evict_weakest`` bounds with its per-node lower bound;
+* :func:`route_substreams` — the sharded service's routing rules,
+  applied one record at a time.
 
 The module imports nothing beyond the mining core, so it runs on an
 interpreter without numpy.
@@ -21,8 +23,9 @@ interpreter without numpy.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from repro.core.cominer import CoMiner
 from repro.core.farmer import Farmer
@@ -30,7 +33,14 @@ from repro.graph.correlation_graph import NodeState
 from repro.graph.correlator_list import CorrelatorList
 from repro.traces.record import TraceRecord
 
-__all__ = ["eager_observe", "entrywise_kernel", "refresh_edge", "scan_eviction"]
+__all__ = [
+    "RoutedStreams",
+    "eager_observe",
+    "entrywise_kernel",
+    "refresh_edge",
+    "route_substreams",
+    "scan_eviction",
+]
 
 
 def _reevaluate_entrywise(self: CoMiner, src: int) -> CorrelatorList:
@@ -137,3 +147,102 @@ def scan_eviction() -> Iterator[None]:
         yield
     finally:
         NodeState.evict_weakest = production
+
+
+@dataclass
+class RoutedStreams:
+    """What :func:`route_substreams` expects a sharded service to do.
+
+    Attributes:
+        substreams: per shard, the ``(record, is_echo)`` pairs it mines,
+            in order. A failed shard's substream restarts empty (its
+            private state is lost and nothing reaches it afterwards).
+        n_observed: accepted requests (echoes not double-counted).
+        n_boundary_echoes: boundary requests, shed and dropped included.
+        n_echoes_shed: echoes suppressed by ``allow_echo=False``.
+        echo_drops: per destination shard, echoes lost to a failed shard.
+        n_dropped_failed: records lost because their owner was failed.
+        barriers: the accepted-request count at each standby sync.
+    """
+
+    substreams: list[list[tuple[TraceRecord, bool]]]
+    echo_drops: list[int]
+    n_observed: int = 0
+    n_boundary_echoes: int = 0
+    n_echoes_shed: int = 0
+    n_dropped_failed: int = 0
+    barriers: list[int] = field(default_factory=list)
+
+
+def route_substreams(
+    segments: Sequence[tuple[str, object]],
+    *,
+    n_shards: int,
+    route: Callable[[int], int],
+    cross_shard_edges: bool = True,
+    op_filter: tuple[str, ...] | None = None,
+    sync_interval: int | None = None,
+) -> RoutedStreams:
+    """Route a segmented stream the way ``ShardedFarmer`` must, one
+    record at a time.
+
+    ``segments`` holds ``(entry, payload)`` steps. For the entry points
+    ``"observe"``, ``"mine"`` and ``"ingest_stream"`` the payload is a
+    list of ``(record, allow_echo)`` pairs; ``("fail", index)`` fails
+    shard ``index``. ``sync_interval`` is the standby cadence under
+    replication (``None`` without replication).
+
+    The rules, per record:
+
+    * a record whose op is outside ``op_filter`` is skipped;
+    * a record whose owner is failed is lost (only ``ingest_stream``
+      gets there: ``observe`` and ``mine`` raise instead), but it still
+      becomes the predecessor of the next record;
+    * otherwise the owner mines it, and if the previous record belonged
+      to another shard it is a boundary request: under
+      ``cross_shard_edges`` the predecessor's shard mines it as an echo,
+      unless ``ingest_stream`` admitted it with ``allow_echo=False``
+      (shed) or that shard is failed (dropped);
+    * each accepted record counts toward the standby cadence. The
+      barrier falls on the record that reaches it, except inside
+      ``mine``, whose barrier waits for the end of the batch.
+    """
+    out = RoutedStreams([[] for _ in range(n_shards)], [0] * n_shards)
+    failed: set[int] = set()
+    prev: int | None = None
+    since_sync = 0
+    for entry, payload in segments:
+        if entry == "fail":
+            failed.add(payload)
+            out.substreams[payload] = []
+            continue
+        for record, allow_echo in payload:
+            if op_filter is not None and record.op not in op_filter:
+                continue
+            owner = route(record.fid)
+            if owner in failed:
+                assert entry == "ingest_stream", "observe and mine raise here"
+                out.n_dropped_failed += 1
+                prev = owner
+                continue
+            out.substreams[owner].append((record, False))
+            if cross_shard_edges and prev is not None and prev != owner:
+                out.n_boundary_echoes += 1
+                if entry == "ingest_stream" and not allow_echo:
+                    out.n_echoes_shed += 1
+                elif prev in failed:
+                    out.echo_drops[prev] += 1
+                else:
+                    out.substreams[prev].append((record, True))
+            prev = owner
+            out.n_observed += 1
+            if sync_interval is not None:
+                since_sync += 1
+                if entry != "mine" and since_sync >= sync_interval:
+                    out.barriers.append(out.n_observed)
+                    since_sync = 0
+        if entry == "mine" and sync_interval is not None:
+            if since_sync >= sync_interval:
+                out.barriers.append(out.n_observed)
+                since_sync = 0
+    return out
