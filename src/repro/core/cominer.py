@@ -37,7 +37,10 @@ mining to be O(small). Two mechanisms make it so:
   discards its log. Raw views of a *dirty* list
   (:meth:`list_of`/:meth:`lists` before a flush) therefore no longer
   carry the refreshes dropped while it was dirty. Pinned by
-  ``tests/core/test_edge_log.py``.
+  ``tests/core/test_edge_log.py``. A mid-stream reader (aggregate
+  statistics, the standby sync) ranks through :meth:`rank_for_read`,
+  which puts every list it ranked back to dirty, so reads never move
+  the schedule.
 
 * **Change ticks** — the graph stamps every node with a monotonic
   :meth:`~repro.graph.correlation_graph.CorrelationGraph.change_tick`;
@@ -333,20 +336,6 @@ class CoMiner:
         re-rank is deferred to the first query of the list."""
         self._dirty.add(fid)
 
-    def demote_rank(self, fid: int) -> None:
-        """Forget that ``fid`` was ranked: mark it dirty and drop its
-        ranked tick, so the next flush or query re-ranks it even though
-        the graph tick has not moved.
-
-        The replication barrier uses this to stay invisible: it ranks
-        dirty lists mid-stream so the standby ships barrier-exact state,
-        but the primary's own schedule must still re-rank them at query
-        time — the tick-skip in :meth:`flush_nodes` would otherwise
-        serve the barrier-time degrees after later vector updates.
-        """
-        self._dirty.add(fid)
-        self._ranked_tick.pop(fid, None)
-
     def is_dirty(self, fid: int) -> bool:
         """Whether ``fid``'s list awaits its deferred re-rank."""
         return fid in self._dirty
@@ -373,8 +362,7 @@ class CoMiner:
         return self._lists.get(fid)
 
     def flush_all(self) -> None:
-        """Re-rank every dirty list and replay every pending edge log
-        (aggregate queries call this first)."""
+        """Re-rank every dirty list and replay every pending edge log."""
         while self._dirty:
             self.reevaluate(next(iter(self._dirty)))
         self._settle_all()
@@ -385,29 +373,40 @@ class CoMiner:
         ranked (``Farmer.mine`` collects the fids its batch touched and
         defers all list maintenance to one such pass at the end, so
         chunked mining costs O(touched), not O(graph))."""
-        nodes = self.constructor.graph.node_map()
-        ranked = self._ranked_tick
-        for fid in fids:
-            node = nodes.get(fid)
-            tick = node.change_tick if node is not None else 0
-            if ranked.get(fid, 0) != tick:
-                self.reevaluate(fid)
-            else:
-                self._dirty.discard(fid)
+        self.flush_nodes_report(fids)
 
     def flush_nodes_report(self, fids) -> dict[int, CorrelatorList]:
         """:meth:`flush_nodes` that also returns the re-ranked lists —
         the shard rebalance and standby sync ship exactly the lists it
         rebuilt."""
-        graph = self.constructor.graph
+        nodes = self.constructor.graph.node_map()
         ranked = self._ranked_tick
         out: dict[int, CorrelatorList] = {}
         for fid in fids:
-            if ranked.get(fid, 0) != graph.change_tick(fid):
+            node = nodes.get(fid)
+            tick = node.change_tick if node is not None else 0
+            if ranked.get(fid, 0) != tick:
                 out[fid] = self.reevaluate(fid)
             else:
                 self._dirty.discard(fid)
         return out
+
+    def rank_for_read(self, fids) -> None:
+        """Rank the lists of ``fids`` for a reader that must not move
+        the lazy schedule (an aggregate read, the standby sync barrier).
+
+        Runs :meth:`flush_nodes_report`, then puts every list it ranked
+        back in the dirty set with its ranked tick forgotten, so the
+        next flush or query ranks it again. Left in place, a mid-stream
+        rank would freeze the list at this moment's vector state until
+        the graph touches it again, and the read would change later
+        answers.
+        """
+        dirty = self._dirty
+        ranked = self._ranked_tick
+        for fid in self.flush_nodes_report(fids):
+            dirty.add(fid)
+            ranked.pop(fid, None)
 
     # ------------------------------------------------------------------
     # migration (the shard-rebalancing seam)

@@ -8,16 +8,18 @@ the stage structure of the paper's Figure 2 recognisable in the code.
 
 Under lazy re-evaluation the Sorter is also the flush point: per-file
 views go through :meth:`CoMiner.query` (re-ranking the list if dirty)
-and aggregate views flush every dirty list first, so callers always see
-fully re-ranked results.
+and aggregate views rank every dirty list first with
+:meth:`CoMiner.rank_for_read`, so callers always see fully re-ranked
+results and the read leaves the lazy schedule as it found it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.core.cominer import CoMiner
-from repro.graph.correlator_list import CorrelatorEntry
+from repro.graph.correlator_list import CorrelatorEntry, CorrelatorList
 
 __all__ = ["Sorter", "CorrelationSnapshot"]
 
@@ -31,6 +33,29 @@ class CorrelationSnapshot:
     mean_length: float
     max_length: int
     mean_top_degree: float
+
+    @classmethod
+    def fold(cls, lists: Iterable[CorrelatorList]) -> "CorrelationSnapshot":
+        """Fold Correlator Lists, given in fid order, into a snapshot
+        (empty lists are skipped).
+
+        Folding in fid order makes the float means a pure function of
+        the list contents, not of dict insertion history, so a sharded
+        service's owned-list snapshot compares bit-for-bit across shard
+        layouts (see ``ShardedFarmer.snapshot`` and ``rebalance``).
+        """
+        lists = [lst for lst in lists if len(lst) > 0]
+        if not lists:
+            return cls(0, 0, 0.0, 0, 0.0)
+        lengths = [len(lst) for lst in lists]
+        tops = [lst.top(1)[0].degree for lst in lists]
+        return cls(
+            n_lists=len(lists),
+            n_entries=sum(lengths),
+            mean_length=sum(lengths) / len(lists),
+            max_length=max(lengths),
+            mean_top_degree=sum(tops) / len(tops),
+        )
 
 
 class Sorter:
@@ -49,11 +74,16 @@ class Sorter:
         lst = self._miner.query(fid)
         return lst.top(k) if lst is not None else []
 
+    def _ranked_lists(self) -> dict[int, CorrelatorList]:
+        """Every list, dirty ones ranked for this read."""
+        miner = self._miner
+        miner.rank_for_read(miner.dirty_nodes())
+        return miner.lists()
+
     def strongest_pairs(self, n: int = 10) -> list[tuple[int, CorrelatorEntry]]:
         """The globally strongest (file, correlate) pairs (reporting)."""
-        self._miner.flush_all()
         pairs: list[tuple[int, CorrelatorEntry]] = []
-        for fid, lst in self._miner.lists().items():
+        for fid, lst in self._ranked_lists().items():
             head = lst.top(1)
             if head:
                 pairs.append((fid, head[0]))
@@ -61,25 +91,6 @@ class Sorter:
         return pairs[:n]
 
     def snapshot(self) -> CorrelationSnapshot:
-        """Aggregate statistics of the current mining state.
-
-        Lists are folded in fid order so the float means are a pure
-        function of the list contents, not of dict insertion history —
-        this keeps a sharded service's owned-list snapshot comparable
-        bit-for-bit across shard layouts (see ``ShardedFarmer.snapshot``
-        and ``rebalance``).
-        """
-        self._miner.flush_all()
-        table = self._miner.lists()
-        lists = [table[fid] for fid in sorted(table) if len(table[fid]) > 0]
-        if not lists:
-            return CorrelationSnapshot(0, 0, 0.0, 0, 0.0)
-        lengths = [len(lst) for lst in lists]
-        tops = [lst.top(1)[0].degree for lst in lists]
-        return CorrelationSnapshot(
-            n_lists=len(lists),
-            n_entries=sum(lengths),
-            mean_length=sum(lengths) / len(lists),
-            max_length=max(lengths),
-            mean_top_degree=sum(tops) / len(tops),
-        )
+        """Aggregate statistics of the current mining state."""
+        table = self._ranked_lists()
+        return CorrelationSnapshot.fold(table[fid] for fid in sorted(table))

@@ -7,7 +7,8 @@ That distinction is the whole correctness story: the lazy
 re-evaluation schedule defers ranking to query time, so a snapshot that
 ranked lists "to clean them up" would freeze them at snapshot-time
 vector state and diverge from a never-crashed service once more records
-arrive (exactly the bug the standby-sync ``demote_rank`` dance avoids).
+arrive (exactly the bug ``CoMiner.rank_for_read`` avoids for the
+standby sync and aggregate reads).
 Restoring a faithful capture and replaying the WAL tail through the
 ordinary ingest seam reproduces the never-crashed state bit for bit.
 

@@ -136,11 +136,11 @@ class ShardReplica:
     def sync(self, primary: Farmer, at_observed: int) -> int:
         """Copy the primary's changed state into the standby.
 
-        Ranks every changed list at the source first (through the same
-        ``flush_nodes_report`` seam a rebalance migration uses) and then
-        *demotes* each freshly-ranked list back to dirty on the primary:
-        the barrier rank exists for the standby's benefit, and the
-        primary must stay on its own lazy schedule — otherwise its query
+        Ranks every changed list at the source first with
+        :meth:`~repro.core.cominer.CoMiner.rank_for_read`, which puts
+        each freshly-ranked list back to dirty on the primary: the
+        barrier rank exists for the standby's benefit, and the primary
+        must stay on its own lazy schedule — otherwise its query
         answers would depend on the sync cadence (the drain-equivalence
         property in ``tests/online`` pins this invisibility). Then
         ships each changed node as either an **array delta** — when the
@@ -157,7 +157,7 @@ class ShardReplica:
         synced = self._synced_ticks
         is_dirty = primary.miner.is_dirty
         # a list is re-shipped when its graph tick moved OR it is dirty:
-        # a dirty-but-tick-unchanged list (demoted at an earlier barrier)
+        # a dirty-but-tick-unchanged list (re-dirtied by an earlier read)
         # would rank differently now that neighbour vectors advanced, and
         # the standby must hold exactly what a barrier-time query of the
         # primary would serve
@@ -171,7 +171,7 @@ class ShardReplica:
             # rank at the source so the shipped lists are exactly what
             # the primary would serve at this barrier (skips lists whose
             # tick has not moved since their last rank)
-            ranked_now = primary.miner.flush_nodes_report(changed)
+            primary.miner.rank_for_read(changed)
             standby_graph = self.farmer.constructor.graph
             standby_nodes = standby_graph.node_map()
             standby_miner = self.farmer.miner
@@ -198,14 +198,6 @@ class ShardReplica:
                         fid, lst.clone(), node.change_tick
                     )
                 synced[fid] = node.change_tick
-            # the barrier rank above exists for the standby's benefit;
-            # demoting every list it freshly ranked keeps the primary
-            # on its own lazy schedule, so its query answers never
-            # depend on the sync cadence (the mid-stream rank would
-            # otherwise freeze a list's degrees at sync-time vector
-            # state if nothing touches it again)
-            for fid in ranked_now:
-                primary.miner.demote_rank(fid)
         self.farmer.constructor.graph.adopt_window(graph.window_contents())
         # carry the accepted count so a promoted standby's stats() keeps
         # the primary's accounting (intra-package: the replica is an
@@ -240,15 +232,7 @@ class ShardReplicator:
         self.n_nodes_shipped = 0
 
     def _fresh_replica(self) -> ShardReplica:
-        service = self._service
-        return ShardReplica(
-            Farmer(
-                service.config,
-                vocabulary=service.vocabulary,
-                vector_store=service.vector_store,
-                sim_cache=service.sim_cache,
-            )
-        )
+        return ShardReplica(self._service._new_shard())
 
     def sync_all(self) -> StandbySyncReport:
         """Run one service-wide sync barrier (healthy shards only)."""

@@ -44,11 +44,16 @@ Set ``cross_shard_edges=False`` for strict partition isolation — each
 shard then sees exactly its routed substream, and the service is
 bit-for-bit a set of independent per-shard Farmers.
 
-``observe`` delivers a boundary echo at once, before it returns: the
-predecessor's shard runs the graph-only :meth:`Farmer.observe_echo`.
-The batch entry points (``mine``, ``ingest_stream``) place each echo
-inline in the destination's substream, which is the same order. An
-echo whose destination shard is failed is dropped and counted.
+``observe``, ``mine`` and ``ingest_stream`` share one routing walk. It
+splits the stream into per-shard ``(record, is_echo)`` substreams, each
+echo inline in its destination's substream, and keeps the boundary
+state, the echo counters and the standby cadence; an echo whose
+destination shard is failed is dropped and counted. The entry points
+differ only in how they apply the substreams: ``observe`` runs
+``Farmer.observe`` and the graph-only :meth:`Farmer.observe_echo` at
+once, ``mine`` ingests every substream and then flushes, and
+``ingest_stream`` ingests and marks lists dirty, routing up to each
+standby barrier.
 
 Equivalence scope: with ``n_shards=1`` every entry point is bit-for-bit
 identical to a plain Farmer (property-tested on a 20k-record trace).
@@ -117,7 +122,7 @@ from repro.core.farmer import Farmer
 from repro.core.sorter import CorrelationSnapshot
 from repro.core.vector_store import VectorStore
 from repro.errors import ConfigError, ReplicationError, ShardFailedError
-from repro.graph.correlator_list import CorrelatorEntry
+from repro.graph.correlator_list import CorrelatorEntry, CorrelatorList
 from repro.service.replication import (
     FailoverReport,
     ShardReplicator,
@@ -233,13 +238,7 @@ class ShardedFarmer:
         self.vector_store = VectorStore(self.config, self.extractor)
         self.sim_cache = F1Counter()
         self.shards: tuple[Farmer, ...] = tuple(
-            Farmer(
-                self.config,
-                vocabulary=self.vocabulary,
-                vector_store=self.vector_store,
-                sim_cache=self.sim_cache,
-            )
-            for _ in range(n)
+            self._new_shard() for _ in range(n)
         )
         self._prev_owner: int | None = None
         self._prev_fid: int | None = None
@@ -266,6 +265,19 @@ class ShardedFarmer:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+
+    def _new_shard(self) -> Farmer:
+        """A fresh Farmer on the service's shared vocabulary, vector
+        store and Function-1 counter."""
+        return Farmer(
+            self.config,
+            vocabulary=self.vocabulary,
+            vector_store=self.vector_store,
+            sim_cache=self.sim_cache,
+        )
+
+    def _replace_shard(self, index: int, farmer: Farmer) -> None:
+        self.shards = self.shards[:index] + (farmer,) + self.shards[index + 1 :]
 
     def shard_of(self, fid: int) -> int:
         """Owning shard index of ``fid``."""
@@ -307,37 +319,97 @@ class ShardedFarmer:
     # mining
     # ------------------------------------------------------------------
 
+    def _route(
+        self,
+        items: Iterable[tuple[TraceRecord, bool]],
+        *,
+        strict: bool,
+        stop_at_barrier: bool = False,
+    ) -> tuple[list[list[tuple[TraceRecord, bool]]], int]:
+        """Split ``(record, allow_echo)`` pairs into per-shard
+        ``(record, is_echo)`` substreams, updating the boundary state
+        and every routing counter; returns the substreams and the number
+        of records lost to failed owners.
+
+        A boundary request under ``cross_shard_edges`` also goes to the
+        predecessor's shard, unless ``allow_echo`` is False (shed) or
+        that shard is failed (dropped). A record whose owner is failed
+        raises :class:`ShardFailedError` when ``strict``; otherwise it
+        is lost, but still becomes the next record's predecessor (the
+        request happened). ``stop_at_barrier`` ends the walk on the
+        accepted record that makes a standby barrier due, leaving the
+        rest of an iterator for the next call.
+        """
+        config = self.config
+        op_filter = config.op_filter
+        cross = config.cross_shard_edges
+        route = self.router.route
+        failed = self._failed
+        drops = self._echo_drops_by_dest
+        counting = self._replicator is not None
+        interval = config.standby_sync_interval
+        subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in self.shards]
+        prev = self._prev_owner
+        last_fid = self._prev_fid
+        since = self._since_standby_sync
+        accepted = echoes = shed = dropped = lost = 0
+        for record, allow_echo in items:
+            if op_filter is not None and record.op not in op_filter:
+                continue
+            owner = route(record.fid)
+            prev_owner, prev = prev, owner
+            last_fid = record.fid
+            if owner in failed:
+                if strict:
+                    raise ShardFailedError(owner)
+                lost += 1
+                continue
+            subs[owner].append((record, False))
+            if cross and prev_owner is not None and prev_owner != owner:
+                echoes += 1
+                if not allow_echo:
+                    shed += 1
+                elif prev_owner in failed:
+                    dropped += 1
+                    drops[prev_owner] += 1
+                else:
+                    subs[prev_owner].append((record, True))
+            accepted += 1
+            if counting:
+                since += 1
+                if stop_at_barrier and since >= interval:
+                    break
+        self._prev_owner = prev
+        self._prev_fid = last_fid
+        self._n_observed += accepted
+        self._n_boundary_echoes += echoes
+        self._n_echoes_shed += shed
+        self._n_echoes_dropped += dropped
+        self._since_standby_sync = since
+        return subs, lost
+
+    def _barrier_due(self) -> bool:
+        return (
+            self._replicator is not None
+            and self._since_standby_sync >= self.config.standby_sync_interval
+        )
+
     def observe(self, record: TraceRecord) -> None:
         """Route one request to its owner shard; a boundary request
         under ``cross_shard_edges`` is additionally observed by the
         predecessor's shard as an echo (dropped and counted if that
         shard is failed)."""
-        if (
-            self.config.op_filter is not None
-            and record.op not in self.config.op_filter
-        ):
-            return
-        owner = self.router.route(record.fid)
-        if owner in self._failed:
-            raise ShardFailedError(owner)
-        self.shards[owner].observe(record)
-        prev = self._prev_owner
-        if self.config.cross_shard_edges and prev is not None and prev != owner:
-            self._n_boundary_echoes += 1
-            if prev in self._failed:
-                self._n_echoes_dropped += 1
-                self._echo_drops_by_dest[prev] += 1
-            else:
-                # the owner just folded the record into the shared
-                # vector store, so the echo pays only graph/list work
-                self.shards[prev].observe_echo(record)
-        self._prev_owner = owner
-        self._prev_fid = record.fid
-        self._n_observed += 1
-        if self._replicator is not None:
-            self._since_standby_sync += 1
-            if self._since_standby_sync >= self.config.standby_sync_interval:
-                self.sync_standbys()
+        subs, _ = self._route(((record, True),), strict=True)
+        for shard, sub in zip(self.shards, subs):
+            for routed, is_echo in sub:
+                if is_echo:
+                    # the owner folds the record into the shared vector
+                    # store, so the echo pays only graph/list work
+                    shard.observe_echo(routed)
+                else:
+                    shard.observe(routed)
+        if self._barrier_due():
+            self.sync_standbys()
 
     def mine(self, records: Sequence[TraceRecord]) -> "ShardedFarmer":
         """Batch-mine a trace shard by shard; returns self for chaining.
@@ -353,46 +425,22 @@ class ShardedFarmer:
         Shard *i*'s substream holds ``(record, is_echo)`` pairs: the
         records it owns plus, under ``cross_shard_edges``, the boundary
         requests echoed to it, inline in the order ``observe`` would
-        deliver them. Unavailable while any shard is failed (the batch
-        would silently drop that partition's records) — promote the
-        standby first.
+        deliver them. A standby barrier due during the batch runs at its
+        end. Unavailable while any shard is failed (the batch would
+        silently drop that partition's records) — promote the standby
+        first.
         """
         if self._failed:
             raise ShardFailedError(min(self._failed))
-        config = self.config
-        n = config.n_shards
-        subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
-        op_filter = config.op_filter
-        cross = config.cross_shard_edges
-        route = self.router.route
-        prev = self._prev_owner
-        last_fid = self._prev_fid
-        accepted = echoes = 0
-        for record in records:
-            if op_filter is not None and record.op not in op_filter:
-                continue
-            owner = route(record.fid)
-            subs[owner].append((record, False))
-            if cross and prev is not None and prev != owner:
-                subs[prev].append((record, True))
-                echoes += 1
-            prev = owner
-            last_fid = record.fid
-            accepted += 1
-        self._n_observed += accepted
-        self._n_boundary_echoes += echoes
-        self._prev_owner = prev
-        self._prev_fid = last_fid
+        subs, _ = self._route(((r, True) for r in records), strict=True)
         changed = [
             shard.ingest_mixed(sub) for shard, sub in zip(self.shards, subs)
         ]
         for shard, touched in zip(self.shards, changed):
             if touched:
                 shard.miner.flush_nodes(sorted(touched))
-        if self._replicator is not None:
-            self._since_standby_sync += accepted
-            if self._since_standby_sync >= config.standby_sync_interval:
-                self.sync_standbys()
+        if self._barrier_due():
+            self.sync_standbys()
         return self
 
     def ingest_stream(
@@ -417,92 +465,40 @@ class ShardedFarmer:
           :class:`ShardFailedError` instead; a library caller wants the
           loud contract, a long-running service wants to keep serving.)
 
-        Echo placement is **batch-seam-independent**: echoes sit inline
-        in the destination's substream (the order ``observe`` delivers
-        them in), so any chunking of the stream is bit-identical to one
-        batch :meth:`mine` of the same records. Lists are a pure function of
-        the end-of-stream graph/vector state (property-tested in
-        ``tests/online``). Standby sync barriers keep their
-        accepted-request cadence across batches.
+        Echoes sit inline in the destination's substream, so any
+        chunking of the stream is bit-identical to one batch
+        :meth:`mine` of the same records (property-tested in
+        ``tests/online``). The stream is routed up to each standby
+        barrier, folded and synced there, so barriers keep their
+        per-record cadence across batches.
         """
-        n = len(self.shards)
-        subs: list[list[tuple[TraceRecord, bool]]] = [[] for _ in range(n)]
-        sync_every = self.config.standby_sync_interval
-        replicator = self._replicator
-        op_filter = self.config.op_filter
-        cross = self.config.cross_shard_edges
-        route = self.router.route
-        failed = self._failed
-        prev = self._prev_owner
-        last_fid = self._prev_fid
-        accepted = 0
-        ingested = 0  # accepted records already folded (sync chunks)
-        echoes_placed = 0
-        echoes_shed = 0
-        dropped_failed = 0
-
-        def fold_pending() -> None:
-            # fold the accumulated owned substreams into the shards.
-            # Unlike mine(), the touched nodes are only marked dirty,
-            # not flushed: the online consumer defers every rank to
-            # query time, and a list is a pure function of end-state
-            # either way
-            nonlocal ingested
-            self._n_observed += accepted - ingested
-            ingested = accepted
-            for index, shard in enumerate(self.shards):
-                sub = subs[index]
+        stream = iter(items)
+        observed_before = self._n_observed
+        echoes_before = self._n_boundary_echoes
+        shed_before = self._n_echoes_shed
+        dropped_before = self._n_echoes_dropped
+        lost = 0
+        while True:
+            subs, n_lost = self._route(stream, strict=False, stop_at_barrier=True)
+            lost += n_lost
+            # unlike mine(), touched lists are only marked dirty: the
+            # online consumer defers every rank to query time
+            for shard, sub in zip(self.shards, subs):
                 if sub:
                     mark = shard.miner.mark_dirty
                     for fid in shard.ingest_mixed(sub):
                         mark(fid)
-                    subs[index] = []
-
-        for record, allow_echo in items:
-            if op_filter is not None and record.op not in op_filter:
-                continue
-            owner = route(record.fid)
-            if owner in failed:
-                # the partition is down: its share of the stream is the
-                # loss window, but boundary geometry stays truthful (the
-                # request happened; its successor's echo would target
-                # the failed owner and be dropped below)
-                dropped_failed += 1
-                prev = owner
-                last_fid = record.fid
-                continue
-            subs[owner].append((record, False))
-            if cross and prev is not None and prev != owner:
-                self._n_boundary_echoes += 1
-                if not allow_echo:
-                    echoes_shed += 1
-                elif prev in failed:
-                    self._n_echoes_dropped += 1
-                    self._echo_drops_by_dest[prev] += 1
-                else:
-                    subs[prev].append((record, True))
-                    echoes_placed += 1
-            prev = owner
-            last_fid = record.fid
-            accepted += 1
-            if replicator is not None:
-                self._since_standby_sync += 1
-                if self._since_standby_sync >= sync_every:
-                    # per-record cadence, not per-batch: the barrier
-                    # must land at exactly the accepted count the
-                    # record-at-a-time schedule would pick
-                    fold_pending()
-                    self.sync_standbys()
-        fold_pending()
-        self._n_echoes_shed += echoes_shed
-        self._prev_owner = prev
-        if last_fid is not None:
-            self._prev_fid = last_fid
+            if not self._barrier_due():
+                break
+            self.sync_standbys()
+        shed = self._n_echoes_shed - shed_before
+        dropped = self._n_echoes_dropped - dropped_before
+        echoes = self._n_boundary_echoes - echoes_before
         return StreamIngestReport(
-            n_accepted=accepted,
-            n_echoes_placed=echoes_placed,
-            n_echoes_shed=echoes_shed,
-            n_dropped_failed=dropped_failed,
+            n_accepted=self._n_observed - observed_before,
+            n_echoes_placed=echoes - shed - dropped,
+            n_echoes_shed=shed,
+            n_dropped_failed=lost,
         )
 
     # ------------------------------------------------------------------
@@ -533,17 +529,6 @@ class ShardedFarmer:
     # accounting
     # ------------------------------------------------------------------
 
-    def flush_shard(self, index: int) -> None:
-        """Re-rank shard ``index``'s *owned* dirty lists. Halo lists
-        (foreign fids left dirty by boundary echoes) stay lazy — queries
-        route to the owner shard, so ranking them is work nobody reads.
-        """
-        shard = self.shards[index]
-        route = self.router.route
-        shard.miner.flush_nodes(
-            fid for fid in shard.miner.dirty_nodes() if route(fid) == index
-        )
-
     def snapshot(self) -> CorrelationSnapshot:
         """Aggregate Correlator-List statistics over *owned* lists.
 
@@ -551,29 +536,26 @@ class ShardedFarmer:
         (the echo's by-product); only the owner shard's authoritative
         list is counted, so ``n_shards=1`` matches ``Farmer.snapshot``
         exactly and multi-shard numbers are not inflated by halo state.
+        Owned dirty lists are ranked for the read
+        (:meth:`~repro.core.cominer.CoMiner.rank_for_read`), which leaves
+        the lazy schedule as it found it; halo lists are not ranked.
         Aggregation runs in fid order, so the float means are identical
         for any shard layout holding the same owned lists (rebalancing
         must not perturb the snapshot by summation order alone).
         """
         route = self.router.route
-        per_fid: dict[int, tuple[int, float]] = {}
+        owned: dict[int, CorrelatorList] = {}
         for index, shard in enumerate(self.shards):
-            self.flush_shard(index)
-            for fid, lst in shard.miner.lists().items():
-                if len(lst) > 0 and route(fid) == index:
-                    per_fid[fid] = (len(lst), lst.top(1)[0].degree)
-        if not per_fid:
-            return CorrelationSnapshot(0, 0, 0.0, 0, 0.0)
-        ordered = [per_fid[fid] for fid in sorted(per_fid)]
-        lengths = [length for length, _ in ordered]
-        tops = [top for _, top in ordered]
-        return CorrelationSnapshot(
-            n_lists=len(lengths),
-            n_entries=sum(lengths),
-            mean_length=sum(lengths) / len(lengths),
-            max_length=max(lengths),
-            mean_top_degree=sum(tops) / len(tops),
-        )
+            miner = shard.miner
+            miner.rank_for_read(
+                [fid for fid in miner.dirty_nodes() if route(fid) == index]
+            )
+            owned.update(
+                (fid, lst)
+                for fid, lst in miner.lists().items()
+                if route(fid) == index
+            )
+        return CorrelationSnapshot.fold(owned[fid] for fid in sorted(owned))
 
     def f1_evaluations(self) -> int:
         """Function-1 evaluations across every shard and standby."""
@@ -678,14 +660,13 @@ class ShardedFarmer:
         start = time.perf_counter()
         old_n = len(self.shards)
         new_n = n_shards if n_shards is not None else old_n
+        new_policy = policy if policy is not None else self.config.shard_policy
         if router is not None:
             if router.n_shards != new_n:
                 raise ConfigError(
                     f"router has {router.n_shards} shards, rebalance wants {new_n}"
                 )
-            new_policy = policy if policy is not None else self.config.shard_policy
         else:
-            new_policy = policy if policy is not None else self.config.shard_policy
             if weights is not None and new_policy != "consistent_hash":
                 raise ConfigError(
                     "per-shard weights require the consistent_hash policy"
@@ -717,17 +698,9 @@ class ShardedFarmer:
                 weights=weights,
             )
         if new_n > old_n:
-            shards = list(self.shards)
-            shards.extend(
-                Farmer(
-                    self.config,
-                    vocabulary=self.vocabulary,
-                    vector_store=self.vector_store,
-                    sim_cache=self.sim_cache,
-                )
-                for _ in range(new_n - old_n)
+            self.shards += tuple(
+                self._new_shard() for _ in range(new_n - old_n)
             )
-            self.shards = tuple(shards)
             self._echo_drops_by_dest.extend(0 for _ in range(new_n - old_n))
         old_route = self.router.route
         n_owned = 0
@@ -949,16 +922,9 @@ class ShardedFarmer:
             raise ConfigError(f"no shard {index} in a {len(self.shards)}-shard service")
         if index in self._failed:
             raise ReplicationError(f"shard {index} is already failed")
-        shards = list(self.shards)
         # an empty placeholder keeps aggregate walks (stats/snapshot)
         # total; the _failed guard keeps routed traffic out of it
-        shards[index] = Farmer(
-            self.config,
-            vocabulary=self.vocabulary,
-            vector_store=self.vector_store,
-            sim_cache=self.sim_cache,
-        )
-        self.shards = tuple(shards)
+        self._replace_shard(index, self._new_shard())
         self._failed.add(index)
 
     def promote_standby(self, index: int) -> FailoverReport:
@@ -979,9 +945,7 @@ class ShardedFarmer:
             )
         start = time.perf_counter()
         replica = replicator.take(index)
-        shards = list(self.shards)
-        shards[index] = replica.farmer
-        self.shards = tuple(shards)
+        self._replace_shard(index, replica.farmer)
         self._failed.discard(index)
         # the promoted Farmer's counters restart at the standby's values
         # (below the failed primary's mark) — re-mark so the next

@@ -86,13 +86,17 @@ class TestDirtyProtocol:
         assert not farmer.miner.is_dirty(1)
         assert farmer.miner.is_dirty(2)
 
-    def test_snapshot_flushes_all(self):
+    def test_snapshot_ranks_dirty_lists_and_leaves_them_dirty(self):
+        """An aggregate read ranks every dirty list for its figures, then
+        puts each back to dirty, so the list's next query ranks it again
+        (tests/core/test_aggregate_reads.py pins the answers)."""
         farmer = Farmer(FarmerConfig(max_strength=0.0))
         for r in sequence_records([1, 2, 3] * 4):
             farmer.observe(r)
-        assert farmer.miner.n_dirty() > 0
-        farmer.snapshot()
-        assert farmer.miner.n_dirty() == 0
+        dirty = sorted(farmer.miner.dirty_nodes())
+        assert dirty
+        assert farmer.snapshot().n_lists == 3
+        assert sorted(farmer.miner.dirty_nodes()) == dirty
 
     def test_eager_mode_never_dirty(self):
         """The eager reference ranks on every request, so it never

@@ -90,8 +90,6 @@ class TestIngestStreamEquivalence:
             streamed.ingest_stream(
                 (r, True) for r in records[start : start + chunk]
             )
-        for index in range(len(streamed.shards)):
-            streamed.flush_shard(index)
         return streamed
 
     def assert_same_answers(self, left, right, records):

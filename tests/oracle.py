@@ -157,10 +157,10 @@ class RoutedStreams:
         substreams: per shard, the ``(record, is_echo)`` pairs it mines,
             in order. A failed shard's substream restarts empty (its
             private state is lost and nothing reaches it afterwards).
+        echo_drops: per destination shard, echoes lost to a failed shard.
         n_observed: accepted requests (echoes not double-counted).
         n_boundary_echoes: boundary requests, shed and dropped included.
         n_echoes_shed: echoes suppressed by ``allow_echo=False``.
-        echo_drops: per destination shard, echoes lost to a failed shard.
         n_dropped_failed: records lost because their owner was failed.
         barriers: the accepted-request count at each standby sync.
     """
@@ -241,8 +241,7 @@ def route_substreams(
                 if entry != "mine" and since_sync >= sync_interval:
                     out.barriers.append(out.n_observed)
                     since_sync = 0
-        if entry == "mine" and sync_interval is not None:
-            if since_sync >= sync_interval:
-                out.barriers.append(out.n_observed)
-                since_sync = 0
+        if entry == "mine" and sync_interval and since_sync >= sync_interval:
+            out.barriers.append(out.n_observed)
+            since_sync = 0
     return out

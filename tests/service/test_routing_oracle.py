@@ -52,7 +52,12 @@ def scenarios(draw):
         )
     )
     items = [
-        (make_record(fid, ts=i * 1000, uid=fid % 3, path=f"/d{fid % 4}/{fid}", op=op), allow)
+        (
+            make_record(
+                fid, ts=i * 1000, uid=fid % 3, path=f"/d{fid % 4}/{fid}", op=op
+            ),
+            allow,
+        )
         for i, (fid, op, allow) in enumerate(picks)
     ]
     cuts = draw(st.lists(st.integers(0, len(items)), max_size=5))
