@@ -56,9 +56,10 @@ measurable pass instead of d independent ``update``/``insort`` calls:
 
 * the source's vector and access count are resolved **once**;
 * every successor gets Function 1 as one row
-  (:func:`~repro.vsm.similarity.similarity_row`): the source side of
-  IPA(bag) is resolved once per re-rank, and the values are
-  bit-identical to per-pair :meth:`semantic_distance` calls;
+  (:func:`~repro.vsm.similarity.similarity_row`): IPA's source side,
+  path set included, is built once per re-rank, a successor without a
+  vector scores 0 uncounted, and the values are bit-identical to
+  per-pair :meth:`semantic_distance` calls;
 * the list is materialised by a single
   :meth:`~repro.graph.correlator_list.CorrelatorList.rebuild` (sort +
   threshold/capacity cut, O(d log d)) instead of d binary insertions.
@@ -259,23 +260,16 @@ class CoMiner:
         if va is None:
             sims = [0.0] * len(succ_fids)
         else:
-            row = [vectors.get(dst) for dst in succ_fids]
-            known = [vb for vb in row if vb is not None]
-            self.sim_cache.add(len(known))
-            sims = similarity_row(va, known, config.path_method, config.path_mode)
-            if len(known) < len(row):
-                computed = iter(sims)
-                sims = [0.0 if vb is None else next(computed) for vb in row]
-        use_freq = p < 1.0 and n_x
-        candidates: list[tuple[int, float]] = []
-        for dst, n_xy, sim in zip(succ_fids, succ_weights, sims):
-            if use_freq:
-                freq = n_xy / n_x
-                if freq > 1.0:
-                    freq = 1.0
-            else:
-                freq = 0.0
-            candidates.append((dst, sim * p + freq * q))
+            row = list(map(vectors.get, succ_fids))
+            self.sim_cache.add(len(row) - row.count(None))
+            sims = similarity_row(va, row, config.path_method, config.path_mode)
+        if p < 1.0 and n_x:
+            candidates = [
+                (dst, sim * p + (1.0 if n_xy > n_x else n_xy / n_x) * q)
+                for dst, n_xy, sim in zip(succ_fids, succ_weights, sims)
+            ]
+        else:
+            candidates = [(dst, sim * p) for dst, sim in zip(succ_fids, sims)]
         lst.rebuild(candidates)
         self._dirty.discard(src)
         self._ranked_tick[src] = tick

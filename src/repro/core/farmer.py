@@ -279,9 +279,11 @@ class Farmer:
         insort ops) — the supported surface for op-count assertions."""
         return self.miner.rerank_stats()
 
-    def stats(self) -> FarmerStats:
-        """Full size/footprint summary."""
-        snap = self.snapshot()
+    def stats(self, snap: CorrelationSnapshot | None = None) -> FarmerStats:
+        """Full size/footprint summary; its list counts come from ``snap``
+        (default: :meth:`snapshot`)."""
+        if snap is None:
+            snap = self.snapshot()
         return FarmerStats(
             n_observed=self._n_observed,
             n_files=self.constructor.graph.n_nodes(),

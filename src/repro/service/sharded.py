@@ -543,19 +543,22 @@ class ShardedFarmer:
         for any shard layout holding the same owned lists (rebalancing
         must not perturb the snapshot by summation order alone).
         """
-        route = self.router.route
         owned: dict[int, CorrelatorList] = {}
-        for index, shard in enumerate(self.shards):
-            miner = shard.miner
-            miner.rank_for_read(
-                [fid for fid in miner.dirty_nodes() if route(fid) == index]
-            )
-            owned.update(
-                (fid, lst)
-                for fid, lst in miner.lists().items()
-                if route(fid) == index
-            )
+        for index in range(len(self.shards)):
+            owned.update(self._owned_lists(index))
         return CorrelationSnapshot.fold(owned[fid] for fid in sorted(owned))
+
+    def _owned_lists(self, index: int) -> dict[int, CorrelatorList]:
+        """The lists shard ``index`` owns, its owned dirty lists ranked
+        for the read; its halo lists are neither ranked nor returned."""
+        route = self.router.route
+        miner = self.shards[index].miner
+        miner.rank_for_read(
+            [fid for fid in miner.dirty_nodes() if route(fid) == index]
+        )
+        return {
+            fid: lst for fid, lst in miner.lists().items() if route(fid) == index
+        }
 
     def f1_evaluations(self) -> int:
         """Function-1 evaluations across every shard and standby."""
@@ -584,13 +587,20 @@ class ShardedFarmer:
         return self._n_boundary_echoes
 
     def stats(self) -> ServiceStats:
-        """Aggregated per-shard stats, Function-1 count and memory."""
+        """Aggregated per-shard stats, Function-1 count and memory. A
+        shard's list counts cover its owned lists, as :meth:`snapshot`'s
+        do: halo lists are neither ranked nor counted."""
+        shards = []
+        for index, shard in enumerate(self.shards):
+            owned = self._owned_lists(index)
+            snap = CorrelationSnapshot.fold(owned[fid] for fid in sorted(owned))
+            shards.append(shard.stats(snap))
         replicator = self._replicator
         return ServiceStats(
             n_shards=self.config.n_shards,
             n_observed=self._n_observed,
             n_boundary_echoes=self._n_boundary_echoes,
-            shards=tuple(shard.stats() for shard in self.shards),
+            shards=tuple(shards),
             f1_evaluations=self.f1_evaluations(),
             memory_bytes=self.memory_bytes(),
             n_rebalances=self._n_rebalances,

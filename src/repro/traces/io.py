@@ -133,7 +133,8 @@ def read_csv(path: str | Path) -> Iterator[TraceRecord]:
     """Stream records from a CSV trace written by :func:`write_csv`.
 
     Raises:
-        TraceFormatError: if the header or any row is malformed.
+        TraceFormatError: if the header or any row is malformed, or an
+            integer field lies outside int64.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -143,6 +144,7 @@ def read_csv(path: str | Path) -> Iterator[TraceRecord]:
             return
         if tuple(header) != CSV_COLUMNS:
             raise TraceFormatError(f"unexpected CSV header {header!r}", 1)
+        lo, hi = _INT64_MIN, _INT64_MAX
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -151,19 +153,21 @@ def read_csv(path: str | Path) -> Iterator[TraceRecord]:
                     f"expected {len(CSV_COLUMNS)} fields, got {len(row)}", lineno
                 )
             try:
-                yield TraceRecord(
-                    ts=int(row[0]),
-                    fid=int(row[1]),
-                    uid=int(row[2]),
-                    pid=int(row[3]),
-                    host=int(row[4]),
-                    path=row[5] or None,
-                    op=row[6],
-                    size=int(row[7]),
-                    dev=int(row[8]),
-                )
+                ts, fid, uid, pid, host = map(int, row[:5])
+                size, dev = int(row[7]), int(row[8])
             except ValueError as exc:
                 raise TraceFormatError(f"bad field: {exc}", lineno) from exc
+            record = TraceRecord(
+                ts, fid, uid, pid, host, row[5] or None, row[6], size, dev
+            )
+            # int64_overflow's test, inlined: calling it on every row
+            # would cost a sixth of the decode
+            ints = (ts, fid, uid, pid, host, size, dev)
+            if min(ints) < lo or max(ints) > hi:
+                raise TraceFormatError(
+                    f"bad trace record: {int64_overflow(record)}", lineno
+                )
+            yield record
 
 
 def write_jsonl(records: Iterable[TraceRecord], path: str | Path) -> int:

@@ -14,6 +14,9 @@ the file-path attribute handled by either of two algorithms:
 
 Both reproduce the paper's Table 2 worked example exactly (tested in
 ``tests/vsm/test_table2.py``).
+
+IPA's one arithmetic is :func:`similarity_row`; it is held ``==`` to
+a paper-literal reference in ``tests/vsm/test_function1_reference.py``.
 """
 
 from __future__ import annotations
@@ -73,33 +76,9 @@ def dpa_similarity(a: SemanticVector, b: SemanticVector) -> float:
 def ipa_similarity(
     a: SemanticVector, b: SemanticVector, path_mode: str = "bag"
 ) -> float:
-    """Function 1 with the Integrated Path Algorithm.
-
-    Scalar hits are a C-level set intersection (scalar ids are unique by
-    construction, so bag and set semantics coincide); bag mode runs on
-    the vectors' precomputed ``sorted_path`` tuples so the per-comparison
-    cost is a single linear merge — no sorting on the hot path.
-    """
-    na, nb = a.n_ipa, b.n_ipa
-    denom = na if na >= nb else nb
-    if denom == 0:
-        return 0.0
-    sa = a._scalar_set
-    if sa is None:
-        sa = a.scalar_set  # builds and caches
-    sb = b._scalar_set
-    if sb is None:
-        sb = b.scalar_set
-    hits = float(len(sa & sb))
-    pa, pb = a.path_ids, b.path_ids
-    if pa and pb:
-        if path_mode == "bag":
-            hits += bag_intersection(a.sorted_path, b.sorted_path) / max(
-                len(pa), len(pb)
-            )
-        else:
-            hits += directory_similarity(pa, pb, mode=path_mode)
-    return hits / denom
+    """Function 1 with the Integrated Path Algorithm (one pair of
+    :func:`similarity_row`, which holds IPA's arithmetic)."""
+    return similarity_row(a, (b,), "ipa", path_mode)[0]
 
 
 def similarity(
@@ -121,25 +100,32 @@ def similarity_row(
     a: SemanticVector, bs, method: str = "ipa", path_mode: str = "bag"
 ) -> list[float]:
     """Function 1 of one source against many: ``similarity(a, b)`` for
-    every ``b`` of ``bs``, in order, bit-identical to the per-pair calls.
+    every ``b`` of ``bs``, in order; a ``None`` in ``bs`` (a file with
+    no vector) scores 0.0.
 
-    IPA in bag mode (the default, and the re-rank hot path) is evaluated
-    inline with the source side — its item count, scalar set and sorted
-    path — resolved once for the whole row; the arithmetic is exactly
-    :func:`ipa_similarity`'s.
+    IPA's source side is resolved once per row. Scalar hits are a set
+    intersection (scalar ids are unique by construction). In bag mode
+    path hits are too when the source path repeats no component: each
+    component's multiset minimum is then 0 or 1, so the bag
+    intersection is the count of ``b``'s distinct components in the
+    source's set. Otherwise :func:`directory_similarity` counts them.
     """
-    if method != "ipa" or path_mode != "bag":
-        return [similarity(a, b, method, path_mode) for b in bs]
+    if method != "ipa":
+        return [0.0 if b is None else similarity(a, b, method, path_mode) for b in bs]
     na = a.n_ipa
-    sa = a._scalar_set
-    if sa is None:
-        sa = a.scalar_set
+    sa = a.scalar_set
     pa = a.path_ids
-    spa = a.sorted_path if pa else None
     lpa = len(pa) if pa else 0
+    # the source path as a set, when a set intersection counts its bag hits
+    psa = frozenset(pa) if pa and path_mode == "bag" else None
+    if psa is not None and len(psa) != lpa:
+        psa = None
     out: list[float] = []
     append = out.append
     for b in bs:
+        if b is None:
+            append(0.0)
+            continue
         nb = b.n_ipa
         denom = na if na >= nb else nb
         if denom == 0:
@@ -151,7 +137,10 @@ def similarity_row(
         hits = float(len(sa & sb))
         pb = b.path_ids
         if pa and pb:
-            lpb = len(pb)
-            hits += bag_intersection(spa, b.sorted_path) / (lpa if lpa >= lpb else lpb)
+            if psa is not None:
+                lpb = len(pb)
+                hits += len(psa.intersection(pb)) / (lpa if lpa >= lpb else lpb)
+            else:
+                hits += directory_similarity(pa, pb, path_mode)
         append(hits / denom)
     return out

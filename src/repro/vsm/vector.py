@@ -45,23 +45,20 @@ class SemanticVector:
             when the trace carries no path for this file.
         n_ipa: precomputed IPA item count (scalars + 1 for the path) —
             the similarity denominator, read twice per comparison.
-        sorted_path: ``path_ids`` pre-sorted for bag intersection (the
-            IPA bag-mode hot path); computed lazily on first use and
-            cached, so the sort cost is paid at most once per vector and
-            not at all under configurations that never bag-compare paths.
         scalar_set: ``scalar_ids`` as a frozenset, lazily cached. Scalar
             ids are unique by construction (tokens are namespaced by
             attribute, and each attribute contributes distinct values),
             so the bag intersection of two scalar tuples equals the set
             intersection — which runs as one C-level ``&``.
+
+    A vector pickles as ``(scalar_ids, path_ids)`` alone; the derived
+    fields are rebuilt on load (``scalar_set`` on first use), and a
+    state of any other shape raises ``TypeError``.
     """
 
     scalar_ids: tuple[int, ...]
     path_ids: tuple[int, ...] | None = None
     n_ipa: int = field(init=False, repr=False, compare=False, default=0)
-    _sorted_path: tuple[int, ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
     _scalar_set: frozenset[int] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -80,13 +77,21 @@ class SemanticVector:
             len(self.scalar_ids) + (1 if self.path_ids is not None else 0),
         )
 
-    @property
-    def sorted_path(self) -> tuple[int, ...]:
-        cached = self._sorted_path
-        if cached is None:
-            cached = tuple(sorted(self.path_ids)) if self.path_ids else ()
-            object.__setattr__(self, "_sorted_path", cached)
-        return cached
+    def __getstate__(self) -> tuple:
+        return (self.scalar_ids, self.path_ids)
+
+    def __setstate__(self, state) -> None:
+        if type(state) is not tuple or len(state) != 2:
+            raise TypeError(
+                "SemanticVector state must be a 2-tuple (scalar_ids, path_ids), "
+                f"got a {type(state).__name__}"
+            )
+        scalar_ids, path_ids = state
+        setattr_ = object.__setattr__
+        setattr_(self, "scalar_ids", scalar_ids)
+        setattr_(self, "path_ids", path_ids)
+        setattr_(self, "n_ipa", len(scalar_ids) + (1 if path_ids is not None else 0))
+        setattr_(self, "_scalar_set", None)
 
     @property
     def scalar_set(self) -> frozenset[int]:
@@ -118,16 +123,10 @@ class SemanticVector:
             return self.scalar_ids
         return tuple(sorted((*self.scalar_ids, *self.path_ids)))
 
-    def sorted_path_ids(self) -> tuple[int, ...]:
-        """Path component ids sorted for bag intersection ((), if no path)."""
-        return self.sorted_path
-
     def approx_bytes(self) -> int:
         """Approximate resident size (memory-overhead accounting)."""
         n = len(self.scalar_ids) + (len(self.path_ids) if self.path_ids else 0)
         total = 64 + 8 * n
-        if self._sorted_path:
-            total += 56 + 8 * len(self._sorted_path)
         if self._scalar_set is not None:
             total += 216 + 32 * len(self._scalar_set)
         return total

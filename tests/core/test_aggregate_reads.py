@@ -8,6 +8,7 @@ stream answers every later query exactly as one never asked.
 
 import pytest
 
+from repro.core.cominer import CoMiner
 from repro.core.config import FarmerConfig
 from repro.core.farmer import Farmer
 from repro.service.sharded import ShardedFarmer
@@ -72,3 +73,37 @@ def test_read_values_are_unchanged_by_the_demotion(trace):
     assert first.n_lists > 0
     assert farmer.snapshot() == first
     assert farmer.stats().n_entries == first.n_entries
+
+
+def test_sharded_stats_rank_and_count_owned_lists_only(trace, monkeypatch):
+    """Each shard's ``n_lists``/``n_entries`` cover the lists it owns, so
+    they sum to ``snapshot()``; the halo lists echoes leave for foreign
+    fids are not ranked by the read."""
+    service = ShardedFarmer(FarmerConfig(n_shards=4, max_strength=0.3))
+    for record in trace[:READ_AT]:
+        service.observe(record)
+        service.predict(record.fid)
+    route = service.router.route
+    halo_dirty = [
+        fid
+        for index, shard in enumerate(service.shards)
+        for fid in shard.miner.dirty_nodes()
+        if route(fid) != index
+    ]
+    assert halo_dirty
+    owner = {id(shard.miner): index for index, shard in enumerate(service.shards)}
+    ranked = []
+    production = CoMiner.reevaluate
+
+    def spy(miner, src):
+        ranked.append((owner[id(miner)], src))
+        return production(miner, src)
+
+    monkeypatch.setattr(CoMiner, "reevaluate", spy)
+    stats = service.stats()
+    monkeypatch.undo()
+    assert ranked
+    assert all(route(fid) == index for index, fid in ranked)
+    snap = service.snapshot()
+    assert sum(shard.n_lists for shard in stats.shards) == snap.n_lists
+    assert sum(shard.n_entries for shard in stats.shards) == snap.n_entries

@@ -20,6 +20,7 @@ from repro.durability.snapshot import (
 )
 from repro.errors import PersistenceError, SnapshotMismatchError
 from repro.service.sharded import ShardedFarmer
+from repro.vsm.vector import SemanticVector
 from tests.conftest import cached_trace
 
 
@@ -205,6 +206,7 @@ class TestConfigMismatch:
         [
             ("store_class", "repro.core.vector_store.ThreadSafeVectorStore"),
             ("counter_state", "does not fit its class"),
+            ("vector_state", "2-tuple (scalar_ids, path_ids)"),
         ],
     )
     def test_snapshot_from_an_older_version_is_refused(
@@ -213,7 +215,10 @@ class TestConfigMismatch:
         """Snapshots written while the shared stores were lock-wrapped
         pickle ``ThreadSafeVectorStore`` (a class that no longer exists)
         and an ``F1Counter`` state of ``(n,)`` (a shape the lock-free
-        counter no longer reads). Recovery refuses either by file name;
+        counter no longer reads). Vectors written while they kept a
+        sorted-path cache pickle five positional fields, which would
+        load with the sorted path in the scalar-set slot and fail at
+        the first Function-1 call. Recovery refuses each by file name;
         it neither crashes inside pickle nor falls back to the older
         snapshot or a WAL replay."""
         manager = DurabilityManager(tmp_path)
@@ -241,9 +246,21 @@ class TestConfigMismatch:
                 raising=False,
             )
             shared["vector_store"].__class__ = old_class
-        else:
+        elif legacy == "counter_state":
             monkeypatch.setattr(
                 F1Counter, "__getstate__", lambda self: (self._n,), raising=False
+            )
+        else:
+            monkeypatch.setattr(
+                SemanticVector,
+                "__getstate__",
+                lambda self: [
+                    self.scalar_ids,
+                    self.path_ids,
+                    self.n_ipa,
+                    tuple(sorted(self.path_ids)) if self.path_ids else (),
+                    self._scalar_set,
+                ],
             )
         data = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
         monkeypatch.undo()

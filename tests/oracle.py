@@ -15,7 +15,10 @@ live here, outside the hot code, as oracles:
 * :func:`scan_eviction` — the full-scan weakest-edge eviction that
   ``NodeState.evict_weakest`` bounds with its per-node lower bound;
 * :func:`route_substreams` — the sharded service's routing rules,
-  applied one record at a time.
+  applied one record at a time;
+* :func:`ipa_reference` — Function 1 under IPA as the paper states it,
+  on sorted tuples and a linear merge, with none of the production
+  row's set shortcuts.
 
 The module imports nothing beyond the mining core, so it runs on an
 interpreter without numpy.
@@ -32,11 +35,13 @@ from repro.core.farmer import Farmer
 from repro.graph.correlation_graph import NodeState
 from repro.graph.correlator_list import CorrelatorList
 from repro.traces.record import TraceRecord
+from repro.vsm.vector import SemanticVector, bag_intersection
 
 __all__ = [
     "RoutedStreams",
     "eager_observe",
     "entrywise_kernel",
+    "ipa_reference",
     "refresh_edge",
     "route_substreams",
     "scan_eviction",
@@ -85,6 +90,32 @@ def refresh_edge(miner: CoMiner, src: int, dst: int) -> None:
     """Refresh the single ``src → dst`` entry now, from current state
     (what ``CoMiner.defer_edge`` logs and later replays)."""
     miner._list_for(src).update(dst, miner.correlation_degree(src, dst))
+
+
+def ipa_reference(
+    a: SemanticVector, b: SemanticVector, path_mode: str = "bag"
+) -> float:
+    """Function 1 under the Integrated Path Algorithm, paper-literal:
+    shared scalar items plus the directory similarity of the two paths
+    (bag: multiset intersection of the sorted component tuples; prefix:
+    the shared leading run) over the larger item count, in the float
+    operations the production row performs."""
+    denom = max(a.n_items("ipa"), b.n_items("ipa"))
+    if denom == 0:
+        return 0.0
+    hits = float(bag_intersection(a.scalar_ids, b.scalar_ids))
+    pa, pb = a.path_ids, b.path_ids
+    if pa and pb:
+        if path_mode == "bag":
+            shared = bag_intersection(tuple(sorted(pa)), tuple(sorted(pb)))
+        else:
+            shared = 0
+            for x, y in zip(pa, pb):
+                if x != y:
+                    break
+                shared += 1
+        hits += shared / max(len(pa), len(pb))
+    return hits / denom
 
 
 def eager_observe(farmer: Farmer, record: TraceRecord) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.traces.io import (
+    CSV_COLUMNS,
     dumps_csv,
     read_csv,
     read_jsonl,
@@ -61,6 +62,40 @@ class TestCsvRoundtrip:
         path.write_text("ts,fid,uid,pid,host,path,op,size,dev\nx,1,1,1,1,,open,0,0\n")
         with pytest.raises(TraceFormatError):
             list(read_csv(path))
+
+    @pytest.mark.parametrize(
+        "field", ["ts", "fid", "uid", "pid", "host", "size", "dev"]
+    )
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_out_of_int64_row_refused_naming_the_line(self, tmp_path, field, value):
+        """The graph arrays and the WAL hold these fields as int64, so a
+        row outside that range is refused on read, with the JSONL
+        reader's message, instead of failing later in ``mine()``."""
+        bad = record_to_dict(make_record(2, path="/a"))
+        bad[field] = value
+        path = tmp_path / "t.csv"
+        path.write_text(
+            dumps_csv([make_record(1, path="/a")])
+            + ",".join(str(bad[c]) for c in CSV_COLUMNS)
+            + "\n"
+        )
+        reader = read_csv(path)
+        assert next(reader) == make_record(1, path="/a")
+        with pytest.raises(TraceFormatError) as exc:
+            next(reader)
+        assert exc.value.line == 3
+        assert f"{field}={value!r} is not an int64" in str(exc.value)
+        with pytest.raises(TraceFormatError) as from_dict:
+            record_from_dict(bad, 3)
+        assert str(from_dict.value) == str(exc.value)
+
+    def test_int64_extremes_roundtrip(self, tmp_path):
+        records = [
+            make_record(2**63 - 1, ts=-(2**63), size=2**63 - 1, dev=-(2**63)),
+        ]
+        path = tmp_path / "t.csv"
+        write_csv(records, path)
+        assert list(read_csv(path)) == records
 
     def test_empty_path_refused_naming_the_line(self, tmp_path, sample_records):
         """CSV spells ``path=None`` as an empty field, so it cannot keep

@@ -1,5 +1,7 @@
 """Tests for vocabulary, path tokenisation and semantic vectors."""
 
+import pickle
+
 import pytest
 
 from repro.vsm.path import parent_directory, tokenize_path
@@ -97,10 +99,29 @@ class TestSemanticVector:
         v = SemanticVector(scalar_ids=(5, 1), path_ids=(3, 2))
         assert v.dpa_items() == (1, 2, 3, 5)
 
-    def test_sorted_path_ids(self):
-        v = SemanticVector(scalar_ids=(), path_ids=(9, 4, 7))
-        assert v.sorted_path_ids() == (4, 7, 9)
-        assert SemanticVector(scalar_ids=()).sorted_path_ids() == ()
+    def test_pickles_ids_only(self):
+        v = SemanticVector(scalar_ids=(5, 1), path_ids=(9, 4, 9))
+        v.scalar_set  # build the lazy cache; it is not pickled
+        assert v.__getstate__() == ((1, 5), (9, 4, 9))
+        restored = pickle.loads(pickle.dumps(v))
+        assert restored == v
+        assert restored.n_ipa == 3
+        assert restored._scalar_set is None
+        assert restored.scalar_set == frozenset({1, 5})
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            [(1,), None, 1, None, None],  # the old five-field layout
+            ((1,), None, 1, None, None),
+            ((1,),),
+            None,
+        ],
+    )
+    def test_other_state_shapes_refused(self, state):
+        v = SemanticVector.__new__(SemanticVector)
+        with pytest.raises(TypeError, match="scalar_ids, path_ids"):
+            v.__setstate__(state)
 
     def test_approx_bytes(self):
         small = SemanticVector(scalar_ids=(1,))
